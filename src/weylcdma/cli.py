@@ -12,9 +12,9 @@ time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -31,23 +31,11 @@ from weylcdma.sequences import (
     optimal_weyl_sequence,
     weyl_sequence,
 )
-from weylcdma.sim import FamilySpec, SimConfig, sweep
+from weylcdma.sim import FamilySpec, SimConfig, SweepRow, family_capacity, sweep
 from weylcdma.snr import LinkBudget, expected_weyl_snr, snr_lower_bound
 
 DEFAULT_PRESET_TRIALS = 20_000  # sized so 95% intervals resolve the curve orderings
 DEFAULT_PRESET_SEED = 1009
-
-_SWEEP_COLUMNS = (
-    "axis_value",
-    "family",
-    "policy",
-    "gamma",
-    "kmax",
-    "mean_ber",
-    "wilson_lo",
-    "wilson_hi",
-    "bits",
-)
 
 
 def _fmt(value) -> str:
@@ -213,21 +201,9 @@ def _sweep_params(config: SimConfig, axis: str, values, extra: dict | None = Non
     return params
 
 
-def _rows_from_sweep(rows) -> list[tuple]:
-    return [
-        (
-            r.axis_value,
-            r.family,
-            r.policy,
-            r.gamma,
-            r.kmax,
-            r.mean_ber,
-            r.wilson_lo,
-            r.wilson_hi,
-            r.bits,
-        )
-        for r in rows
-    ]
+def _sweep_csv_lines(params: dict, rows) -> list[str]:
+    columns = [f.name for f in dataclasses.fields(SweepRow)]
+    return _csv_lines(params, columns, map(dataclasses.astuple, rows))
 
 
 def _cmd_ber_sweep(args) -> int:
@@ -237,7 +213,7 @@ def _cmd_ber_sweep(args) -> int:
     config = _sim_config_from_args(args)
     rows = sweep(config, args.axis, values)
     params = _sweep_params(config, args.axis, values)
-    _emit(_csv_lines(params, _SWEEP_COLUMNS, _rows_from_sweep(rows)), args.out)
+    _emit(_sweep_csv_lines(params, rows), args.out)
     return 0
 
 
@@ -323,13 +299,14 @@ def run_preset(
         kwargs["seed"] = seed + idx
         config = SimConfig(**kwargs)
         curve_values = values
-        if config.family.kind == "fzc" and axis == "users":
-            cap = sum(1 for m in range(1, config.n_chips) if math.gcd(m, config.n_chips) == 1)
-            curve_values = tuple(v for v in values if v <= cap)
+        if axis == "users":
+            curve_values = tuple(
+                v for v in values if v <= family_capacity(dataclasses.replace(config, n_users=v))
+            )
         rows = sweep(config, axis, curve_values)
         params = _sweep_params(config, axis, curve_values, extra={"preset": name, "curve": label})
         path = out / f"{name}_{label}.csv"
-        _emit(_csv_lines(params, _SWEEP_COLUMNS, _rows_from_sweep(rows)), str(path))
+        _emit(_sweep_csv_lines(params, rows), str(path))
         written.append(path)
     return written
 

@@ -9,8 +9,8 @@ SNR.
 Lag conventions match 1-indexed chips: for 0 <= l <= N-1,
 C(l) = sum_{n=1}^{N-l} conj(x[n+l]) * y[n]; for 1-N <= l < 0,
 C(l) = sum_{n=1}^{N+l} conj(x[n]) * y[n-l]; C vanishes for |l| >= N.
-Sums are evaluated with pairwise accumulation (np.dot), so rounding error
-stays far below the tolerances used by callers.
+Sums are evaluated by np.dot and np.correlate, so rounding error stays far
+below the tolerances used by callers.
 """
 
 from __future__ import annotations
@@ -131,6 +131,13 @@ def cross_bound(rho_i: float, rho_k: float) -> float:
     return 1.0 / s
 
 
+def _lag_vector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C(l) for l = -N..N as one array indexed l + N; the l = +-N ends are zero."""
+    c = np.zeros(2 * a.size + 1, dtype=np.complex128)
+    c[1:-1] = np.correlate(b, a, "full")[::-1]
+    return c
+
+
 def r_ik(x, y) -> float:
     """Adjacent-lag interference moment of a sequence pair.
 
@@ -140,22 +147,11 @@ def r_ik(x, y) -> float:
     under uniform random delay, carrier phase, and symbol signs, so that
     {sum_k r/(6N^3) + N0/2E}^(-1/2) is the analytic SNR.
     """
-    a, b = _pair(x, y)
-    n = a.size
-    c = {l: aperiodic_c(a, b, l) for l in range(-n, n + 2)}
-    total = 0.0
-    for l in range(n):
-        cm, cm1 = c[l - n], c[l - n + 1]
-        cl, cl1 = c[l], c[l + 1]
-        total += (
-            abs(cm) ** 2
-            + (cm * cm1.conjugate()).real
-            + abs(cm1) ** 2
-            + abs(cl) ** 2
-            + (cl * cl1.conjugate()).real
-            + abs(cl1) ** 2
-        )
-    return total
+    c = _lag_vector(*_pair(x, y))
+    # the pairs (C(l-N), C(l-N+1)) and (C(l), C(l+1)) over l = 0..N-1 are
+    # together every adjacent pair of the lag vector
+    lo, hi = c[:-1], c[1:]
+    return float(np.sum(np.abs(lo) ** 2 + (lo * hi.conj()).real + np.abs(hi) ** 2))
 
 
 def aperiodic_table(family) -> np.ndarray:
@@ -196,9 +192,11 @@ def correlation_profile(x, y) -> CorrelationProfile:
     """Evaluate C over all lags plus theta and theta_hat for one pair."""
     a, b = _pair(x, y)
     n = a.size
-    lags = np.arange(1 - n, n)
-    c_values = np.array([aperiodic_c(a, b, int(l)) for l in lags])
-    c_at = lambda l: c_values[l - (1 - n)] if -n < l < n else 0j
-    theta = np.array([c_at(l) + c_at(l - n) for l in range(n)])
-    theta_hat = np.array([c_at(l) - c_at(l - n) for l in range(n)])
-    return CorrelationProfile(lags=lags, c_values=c_values, theta=theta, theta_hat=theta_hat)
+    c = _lag_vector(a, b)
+    current, previous = c[n:-1], c[:n]  # C(l) and C(l - N) for l = 0..N-1
+    return CorrelationProfile(
+        lags=np.arange(1 - n, n),
+        c_values=c[1:-1],
+        theta=current + previous,
+        theta_hat=current - previous,
+    )

@@ -17,9 +17,12 @@ ratios), and each trial decides exactly one symbol per user.
 
 Determinism: trials are grouped into fixed-size chunks; chunk c draws from
 its own PCG64 stream derived via SeedSequence(seed, spawn_key=(1, c)).
-Chunks are independent, so results are bit-identical for a given config
-and independent of execution order; WEYLCDMA_THREADS > 1 maps chunks onto
-a thread pool with an associative integer reduction.
+Every collector (``run_ber``, ``collect_decision_noise``,
+``simulate_trials``) is one reduce(draw, noise, z) applied to each chunk
+inside the chunk's own task, so only the reduced result outlives the
+chunk's arrays.  Results come back in chunk order and are bit-identical
+for a given config whatever WEYLCDMA_THREADS (a positive integer; the pool
+is capped at the chunk count and the CPU count) says.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "FamilySpec",
     "SimConfig",
     "TrialDraw",
-    "TrialSet",
     "BERResult",
     "SweepRow",
     "wilson_interval",
@@ -102,35 +104,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """One trial's channel randomness, one entry per user."""
+    """Channel randomness, one column per user.
+
+    The engine fills (T, K) arrays, one row per trial; the scalar path
+    (``interference``, ``decision_statistic``) takes one trial's (K,) row.
+    """
 
     tau: np.ndarray        # delays in [0, N*Tc)
     phi: np.ndarray        # carrier phases in [0, 2*pi)
     bits_prev: np.ndarray  # previous symbols, +-1
     bits_cur: np.ndarray   # current symbols, +-1
     sigma: np.ndarray      # distinct family-member indices
-
-
-@dataclass(frozen=True)
-class TrialSet:
-    """Vectorized draws and decisions for a batch of trials (arrays are (T, K))."""
-
-    sigma: np.ndarray
-    tau: np.ndarray
-    phi: np.ndarray
-    bits_prev: np.ndarray
-    bits_cur: np.ndarray
-    noise: np.ndarray  # standard-normal samples before scaling
-    z: np.ndarray      # decision statistics
-
-    def trial(self, row: int) -> TrialDraw:
-        return TrialDraw(
-            tau=self.tau[row],
-            phi=self.phi[row],
-            bits_prev=self.bits_prev[row],
-            bits_cur=self.bits_cur[row],
-            sigma=self.sigma[row],
-        )
 
 
 @dataclass(frozen=True)
@@ -233,6 +217,8 @@ def _validate(config: SimConfig) -> None:
         raise ValueError("trials must be >= 1")
     if config.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if math.isnan(config.ebn0_db) or config.ebn0_db == -math.inf:
+        raise ValueError(f"ebn0_db must be a number or +inf (noise-free), got {config.ebn0_db}")
     policy = AssignmentPolicy(config.policy)
     kind = config.family.kind
     if kind not in ("weyl", "optimal", "fzc", "gold"):
@@ -360,7 +346,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, chunk_index)))
 
 
-def _simulate_chunk(engine: _Engine, chunk_index: int) -> dict[str, np.ndarray]:
+def _simulate_chunk(engine: _Engine, chunk_index: int) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
     cfg = engine.config
     k = cfg.n_users
     n = cfg.n_chips
@@ -401,69 +387,54 @@ def _simulate_chunk(engine: _Engine, chunk_index: int) -> dict[str, np.ndarray]:
         re_i[:, idx, idx] = 0.0
         z = bits_cur + re_i.sum(axis=2) / (n * TC) + engine.noise_std * noise
 
-    return {
-        "sigma": sigma,
-        "tau": tau,
-        "phi": phi,
-        "bits_prev": bits_prev,
-        "bits_cur": bits_cur,
-        "noise": noise,
-        "z": z,
-    }
+    draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
+    return draw, noise, z
 
 
 def _thread_count() -> int:
     raw = os.environ.get(_THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {raw!r}")
+    return threads
 
 
-def _map_chunks(engine: _Engine, consume) -> None:
-    """Run consume(chunk_index, chunk_dict) for every chunk.
+def _map_chunks(config: SimConfig, reduce) -> list:
+    """reduce(draw, noise, z) of every chunk, in chunk order.
 
-    consume must only write to per-chunk slots (or perform commutative
-    integer accumulation), so results do not depend on completion order.
+    reduce runs inside the chunk's own task, so only its result outlives
+    the chunk's arrays: peak memory is one chunk per worker plus the
+    reduced results, whatever the trial count.
     """
     threads = _thread_count()
-    if threads == 1 or engine.n_chunks == 1:
-        for c in range(engine.n_chunks):
-            consume(c, _simulate_chunk(engine, c))
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_simulate_chunk, engine, c): c for c in range(engine.n_chunks)}
-        for fut, c in futures.items():
-            consume(c, fut.result())
+    engine = _prepare(config)
+    workers = min(threads, engine.n_chunks, os.cpu_count() or 1)
+
+    def run(c: int):
+        return reduce(*_simulate_chunk(engine, c))
+
+    if workers == 1:
+        return [run(c) for c in range(engine.n_chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(engine.n_chunks)))
 
 
-def simulate_trials(config: SimConfig, n_trials: int | None = None) -> TrialSet:
+def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
     """Run the engine and keep every draw and decision (memory: O(T*K)).
 
-    Intended for diagnostics and tests; use ``run_ber`` for large counts.
+    Returns (draw, noise, z): the (T, K) draws, the standard-normal noise
+    samples before scaling, and the decision statistics.  Intended for
+    diagnostics and tests; use ``run_ber`` for large counts.
     """
-    trials = config.trials if n_trials is None else int(n_trials)
-    cfg = dataclasses.replace(config, trials=trials)
-    engine = _prepare(cfg)
-    k = cfg.n_users
-    out = {
-        "sigma": np.empty((trials, k), dtype=np.int64),
-        "tau": np.empty((trials, k)),
-        "phi": np.empty((trials, k)),
-        "bits_prev": np.empty((trials, k)),
-        "bits_cur": np.empty((trials, k)),
-        "noise": np.empty((trials, k)),
-        "z": np.empty((trials, k)),
-    }
-
-    def consume(c: int, chunk: dict[str, np.ndarray]) -> None:
-        lo = c * engine.chunk_size
-        hi = lo + chunk["z"].shape[0]
-        for name, arr in chunk.items():
-            out[name][lo:hi] = arr
-
-    _map_chunks(engine, consume)
-    return TrialSet(**out)
+    draws, noise, z = zip(*_map_chunks(config, lambda *chunk: chunk))
+    draw = TrialDraw(**{
+        f.name: np.concatenate([getattr(d, f.name) for d in draws])
+        for f in dataclasses.fields(TrialDraw)
+    })
+    return draw, np.concatenate(noise), np.concatenate(z)
 
 
 def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -472,19 +443,8 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns (sigma, z_err), both (trials, K); used to compare empirical
     per-slot variances against the analytic interference term.
     """
-    engine = _prepare(config)
-    k = config.n_users
-    sigma = np.empty((config.trials, k), dtype=np.int64)
-    z_err = np.empty((config.trials, k))
-
-    def consume(c: int, chunk: dict[str, np.ndarray]) -> None:
-        lo = c * engine.chunk_size
-        hi = lo + chunk["z"].shape[0]
-        sigma[lo:hi] = chunk["sigma"]
-        z_err[lo:hi] = chunk["z"] - chunk["bits_cur"]
-
-    _map_chunks(engine, consume)
-    return sigma, z_err
+    sigma, z_err = zip(*_map_chunks(config, lambda draw, _noise, z: (draw.sigma, z - draw.bits_cur)))
+    return np.concatenate(sigma), np.concatenate(z_err)
 
 
 def run_ber(config: SimConfig) -> BERResult:
@@ -493,16 +453,11 @@ def run_ber(config: SimConfig) -> BERResult:
     Deterministic given the config (seed included); an error is counted
     when Z_k * b_{k,0} < 0.
     """
-    engine = _prepare(config)
-    k = config.n_users
-    errors_per_user = np.zeros(k, dtype=np.int64)
-
-    def consume(_c: int, chunk: dict[str, np.ndarray]) -> None:
-        err = (chunk["z"] * chunk["bits_cur"]) < 0.0
-        errors_per_user[:] += err.sum(axis=0)
-
-    _map_chunks(engine, consume)
-    bits = config.trials * k
+    errors_per_user = np.sum(
+        _map_chunks(config, lambda draw, _noise, z: ((z * draw.bits_cur) < 0.0).sum(axis=0)),
+        axis=0,
+    )
+    bits = config.trials * config.n_users
     total = int(errors_per_user.sum())
     lo, hi = wilson_interval(total, bits)
     return BERResult(
@@ -519,6 +474,11 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
     """Run the template once per axis value; axis is "users" or "ebn0"."""
     if axis not in ("users", "ebn0"):
         raise ValueError('axis must be "users" or "ebn0"')
+    values = list(values)
+    if axis == "users":
+        fractional = [v for v in values if not float(v).is_integer()]
+        if fractional:
+            raise ValueError(f"users axis values must be whole numbers, got {fractional}")
     rows = []
     for v in values:
         if axis == "users":

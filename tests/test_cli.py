@@ -152,6 +152,21 @@ class TestBerSweep:
         with pytest.raises(SystemExit):
             main(["ber-sweep", "--axis", "users"])
 
+    def test_fractional_users_rejected(self, capsys):
+        args = list(self.ARGS)
+        args[args.index("2,3")] = "2.5,3.9"
+        code, out, err = run_cli(capsys, args)
+        assert code == 1 and out == ""
+        assert "whole numbers" in err
+
+    def test_nan_ebn0_rejected(self, capsys):
+        args = list(self.ARGS)
+        args[args.index("users")] = "ebn0"
+        args[args.index("2,3")] = "nan"
+        code, out, err = run_cli(capsys, args)
+        assert code == 1 and out == ""
+        assert "ebn0_db" in err
+
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run_cli(capsys, self.ARGS + ["--out", str(out_path)])
@@ -187,6 +202,8 @@ class TestPreset:
         assert float(fzc_rows[-1][0]) == 30.0  # phi(31) = 30 < 31
         _, gold_rows = data_rows(by_name["fig1_gold.csv"].read_text())
         assert float(gold_rows[-1][0]) == 31.0
+        _, optimal_rows = data_rows(by_name["fig1_optimal.csv"].read_text())
+        assert float(optimal_rows[-1][0]) == 31.0  # capacity follows K
 
     def test_preset_names_cover_figures(self, tmp_path):
         for name in ("fig1", "fig2", "fig3", "fig4"):

@@ -261,6 +261,8 @@ class TestTableAndProfile:
         x, y = random_unit_sequence(rng, n), random_unit_sequence(rng, n)
         prof = correlation_profile(x, y)
         assert prof.lags[0] == 1 - n and prof.lags[-1] == n - 1
+        for j, lag in enumerate(prof.lags):
+            assert prof.c_values[j] == pytest.approx(aperiodic_c(x, y, int(lag)), abs=1e-12)
         for lag in range(n):
             assert prof.theta[lag] == pytest.approx(periodic_theta(x, y, lag), abs=1e-12)
             assert prof.theta_hat[lag] == pytest.approx(odd_theta_hat(x, y, lag), abs=1e-12)

@@ -37,6 +37,16 @@ def make_draw(tau, phi, bits_prev, bits_cur, sigma):
     )
 
 
+def trial_row(draws, t):
+    """One trial's (K,) draw out of the engine's (T, K) arrays."""
+    return TrialDraw(**{name: value[t] for name, value in vars(draws).items()})
+
+
+# K = 31 gives 1040-trial chunks, so 2500 trials span three chunks
+MULTI_CHUNK = SimConfig(n_users=31, n_chips=31, ebn0_db=8.0, trials=2500, seed=5,
+                        family=FamilySpec(kind="weyl"), gamma=1 / 62, k_max=31)
+
+
 def slot_family(gamma, n, slots):
     return [optimal_weyl_sequence(OptimalWeylParams(gamma, s, n, n)) for s in slots]
 
@@ -164,34 +174,43 @@ class TestEngineConsistency:
             gamma=1 / 32,
             k_max=16,
         )
-        trials = simulate_trials(cfg)
+        draws, noise, zs = simulate_trials(cfg)
         pool = build_pool(cfg)
         budget = LinkBudget.from_db(cfg.ebn0_db, cfg.n_chips, cfg.n_users)
         for t in range(cfg.trials):
-            draw = trials.trial(t)
+            draw = trial_row(draws, t)
             seqs = [pool[m] for m in draw.sigma]
             for i in range(cfg.n_users):
-                z = decision_statistic(i, draw, seqs, budget, float(trials.noise[t, i]))
-                assert z == pytest.approx(float(trials.z[t, i]), abs=1e-12)
+                z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
+                assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
 
     def test_gold_and_fzc_pools(self):
         for kind, n in (("gold", 31), ("fzc", 31)):
             cfg = SimConfig(n_users=4, n_chips=n, ebn0_db=20.0, trials=6, seed=3,
                             family=FamilySpec(kind=kind))
-            trials = simulate_trials(cfg)
+            draws, noise, zs = simulate_trials(cfg)
             pool = build_pool(cfg)
             budget = LinkBudget.from_db(20.0, n, 4)
-            draw = trials.trial(0)
+            draw = trial_row(draws, 0)
             seqs = [pool[m] for m in draw.sigma]
-            z = decision_statistic(2, draw, seqs, budget, float(trials.noise[0, 2]))
-            assert z == pytest.approx(float(trials.z[0, 2]), abs=1e-12)
+            z = decision_statistic(2, draw, seqs, budget, float(noise[0, 2]))
+            assert z == pytest.approx(float(zs[0, 2]), abs=1e-12)
 
     def test_distinct_sigma_within_each_trial(self):
         cfg = SimConfig(n_users=6, n_chips=8, ebn0_db=15.0, trials=300, seed=8,
                         family=FamilySpec(kind="weyl"), k_max=8)
-        trials = simulate_trials(cfg)
-        for row in trials.sigma:
+        draws, _, _ = simulate_trials(cfg)
+        for row in draws.sigma:
             assert len(set(row.tolist())) == 6
+
+    def test_collectors_agree_across_chunks(self):
+        draws, _, zs = simulate_trials(MULTI_CHUNK)
+        assert zs.shape == draws.sigma.shape == (2500, 31)
+        sigma, z_err = collect_decision_noise(MULTI_CHUNK)
+        np.testing.assert_array_equal(sigma, draws.sigma)
+        np.testing.assert_array_equal(z_err, zs - draws.bits_cur)
+        errors = int(np.sum(zs * draws.bits_cur < 0.0))
+        assert run_ber(MULTI_CHUNK).error_count == errors
 
 
 class TestRunBer:
@@ -227,20 +246,40 @@ class TestRunBer:
     def test_fixed_sigma_mode_reuses_one_assignment(self):
         cfg = SimConfig(n_users=3, n_chips=8, ebn0_db=10.0, trials=50, seed=4,
                         family=FamilySpec(kind="weyl"), k_max=8, redraw_sigma=False)
-        trials = simulate_trials(cfg)
-        assert np.all(trials.sigma == trials.sigma[0])
+        draws, _, _ = simulate_trials(cfg)
+        assert np.all(draws.sigma == draws.sigma[0])
 
     def test_sequential_policy(self):
         cfg = SimConfig(n_users=4, n_chips=16, ebn0_db=10.0, trials=10, seed=4,
                         family=FamilySpec(kind="optimal"), policy="sequential")
-        trials = simulate_trials(cfg)
-        np.testing.assert_array_equal(trials.sigma[0], [0, 1, 2, 3])
+        draws, _, _ = simulate_trials(cfg)
+        np.testing.assert_array_equal(draws.sigma[0], [0, 1, 2, 3])
 
     def test_vdc_policy_uses_radical_inverse_slots(self):
         cfg = SimConfig(n_users=4, n_chips=16, ebn0_db=10.0, trials=10, seed=4,
                         family=FamilySpec(kind="weyl"), policy="vdc")
-        trials = simulate_trials(cfg)
-        np.testing.assert_array_equal(trials.sigma[0], [0, 8, 4, 12])
+        draws, _, _ = simulate_trials(cfg)
+        np.testing.assert_array_equal(draws.sigma[0], [0, 8, 4, 12])
+
+
+class TestThreads:
+    def test_results_identical_across_thread_counts(self, monkeypatch):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEYLCDMA_THREADS", threads)
+            runs.append((run_ber(MULTI_CHUNK), *collect_decision_noise(MULTI_CHUNK)))
+        (ber_1, sigma_1, err_1), (ber_2, sigma_2, err_2) = runs
+        assert ber_1.error_count == ber_2.error_count > 0
+        np.testing.assert_array_equal(ber_1.per_user_ber, ber_2.per_user_ber)
+        np.testing.assert_array_equal(sigma_1, sigma_2)
+        np.testing.assert_array_equal(err_1, err_2)
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "two"])
+    def test_bad_thread_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("WEYLCDMA_THREADS", raw)
+        cfg = SimConfig(n_users=2, n_chips=8, ebn0_db=10.0, trials=10, seed=0)
+        with pytest.raises(ValueError, match="WEYLCDMA_THREADS"):
+            run_ber(cfg)
 
 
 class TestVarianceBridge:
@@ -306,6 +345,14 @@ class TestSweep:
         hw = sum((rows[p].wilson_hi - rows[p].wilson_lo) / 2.0 for p in rows)
         assert rows["vdc"].mean_ber <= rows["random"].mean_ber + hw
 
+    def test_rejects_fractional_users(self):
+        cfg = SimConfig(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,
+                        family=FamilySpec(kind="weyl"), k_max=16)
+        for values in ([2.5, 3.9], [2, 3.5], [math.inf]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                sweep(cfg, "users", values)
+        assert [r.axis_value for r in sweep(cfg, "users", [2.0, 3])] == [2.0, 3.0]
+
     def test_rejects_unknown_axis(self):
         cfg = SimConfig(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,
                         family=FamilySpec(kind="weyl"), k_max=16)
@@ -324,6 +371,8 @@ class TestValidation:
             dict(good, seed=-1),
             dict(good, policy="roundrobin"),
             dict(good, k_max=1),  # fewer slots than users
+            dict(good, ebn0_db=math.nan),
+            dict(good, ebn0_db=-math.inf),
         ):
             with pytest.raises(ValueError):
                 run_ber(SimConfig(**bad))
