@@ -55,7 +55,6 @@ from weylcdma.snr import (
 )
 from weylcdma.sim import (
     BERResult,
-    FamilySpec,
     SimConfig,
     TrialDraw,
     decision_statistic,

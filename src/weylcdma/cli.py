@@ -5,8 +5,8 @@ experiment presets.
 All output is machine-readable (CSV or key=value lines).  CSV headers echo
 the package version, a hash of the effective configuration, and every
 effective parameter, so reruns with the same seed reproduce identical data
-rows.  dB values are converted to linear scale exactly once, at parse
-time.
+rows.  dB values are converted to linear scale only by
+``LinkBudget.from_db``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 
 from weylcdma import __version__
-from weylcdma.correlation import aperiodic_c, cross_bound, odd_theta_hat, periodic_theta
+from weylcdma.correlation import correlation_profile, cross_bound
 from weylcdma.phase_opt import global_solution, objective, kkt_residual, construct_multipliers, verify_optimality_by_sampling
 from weylcdma.sequences import (
     FZCParams,
@@ -31,7 +31,7 @@ from weylcdma.sequences import (
     optimal_weyl_sequence,
     weyl_sequence,
 )
-from weylcdma.sim import FamilySpec, SimConfig, SweepRow, family_capacity, sweep
+from weylcdma.sim import SimConfig, SweepRow, family_capacity, sweep
 from weylcdma.snr import LinkBudget, expected_weyl_snr, snr_lower_bound
 
 DEFAULT_PRESET_TRIALS = 20_000  # sized so 95% intervals resolve the curve orderings
@@ -103,17 +103,9 @@ def _cmd_correlate(args) -> int:
     x = weyl_sequence(WeylParams(rho=args.rho_i, delta=0.0, n_chips=n))
     y = weyl_sequence(WeylParams(rho=args.rho_k, delta=0.0, n_chips=n))
     bound = cross_bound(args.rho_i, args.rho_k)
-    rows = []
-    for lag in range(n):
-        rows.append(
-            (
-                lag,
-                abs(aperiodic_c(x, y, lag)),
-                abs(periodic_theta(x, y, lag)),
-                abs(odd_theta_hat(x, y, lag)),
-                bound,
-            )
-        )
+    profile = correlation_profile(x, y)
+    columns = zip(profile.c_values[n - 1:], profile.theta, profile.theta_hat)  # lags 0..N-1
+    rows = [(lag, abs(c), abs(t), abs(t_hat), bound) for lag, (c, t, t_hat) in enumerate(columns)]
     params = {
         "command": "correlate",
         "family": "weyl",
@@ -165,14 +157,13 @@ def _cmd_snr(args) -> int:
 
 
 def _sim_config_from_args(args) -> SimConfig:
-    family = FamilySpec(kind=args.family)
     return SimConfig(
         n_users=args.k,
         n_chips=args.n,
         ebn0_db=args.ebn0_db,
         trials=args.trials,
         seed=args.seed,
-        family=family,
+        family=args.family,
         policy=args.policy,
         gamma=args.gamma,
         k_max=args.kmax,
@@ -185,7 +176,7 @@ def _sweep_params(config: SimConfig, axis: str, values, extra: dict | None = Non
         "command": "ber-sweep",
         "axis": axis,
         "values": ",".join(_fmt(v) for v in values),
-        "family": config.family.kind,
+        "family": config.family,
         "policy": config.policy,
         "gamma": config.gamma,
         "kmax": config.k_max if config.k_max is not None else "auto",
@@ -207,9 +198,9 @@ def _sweep_csv_lines(params: dict, rows) -> list[str]:
 
 
 def _cmd_ber_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v]
+    values = [float(v) for v in (args.values or "").split(",") if v]
     if not values:
-        raise SystemExit("ber-sweep: --values must list at least one axis value")
+        raise SystemExit("ber-sweep: --values (flag or config file) must list an axis value")
     config = _sim_config_from_args(args)
     rows = sweep(config, args.axis, values)
     params = _sweep_params(config, args.axis, values)
@@ -229,10 +220,10 @@ def _preset_curves(name: str):
         n = 31
         base = dict(n_chips=n, ebn0_db=25.0, gamma=1.0 / (2 * n), policy="random")
         curves = [
-            ("gold", dict(family=FamilySpec(kind="gold"))),
-            ("weyl_kmax_n", dict(family=FamilySpec(kind="weyl"), k_max=n)),
-            ("optimal", dict(family=FamilySpec(kind="optimal"))),
-            ("fzc_1_1_1.275", dict(family=FamilySpec(kind="fzc"))),
+            ("gold", dict(family="gold")),
+            ("weyl_kmax_n", dict(family="weyl", k_max=n)),
+            ("optimal", dict(family="optimal")),
+            ("fzc_1_1_1.275", dict(family="fzc")),
         ]
         return "users", tuple(range(2, 32)), base, curves
     if name == "fig2":
@@ -240,18 +231,18 @@ def _preset_curves(name: str):
         base = dict(n_chips=n, n_users=k, policy="random")
         g_n, g_k = 1.0 / (2 * n), 1.0 / (2 * k)
         curves = [
-            ("weyl_gamma_1_over_2n", dict(family=FamilySpec(kind="weyl"), gamma=g_n, k_max=n)),
-            ("weyl_gamma_1_over_2k", dict(family=FamilySpec(kind="weyl"), gamma=g_k, k_max=n)),
-            ("optimal_gamma_1_over_2n", dict(family=FamilySpec(kind="optimal"), gamma=g_n)),
-            ("optimal_gamma_1_over_2k", dict(family=FamilySpec(kind="optimal"), gamma=g_k)),
-            ("fzc_1_1_1.275", dict(family=FamilySpec(kind="fzc"))),
-            ("gold", dict(family=FamilySpec(kind="gold"))),
+            ("weyl_gamma_1_over_2n", dict(family="weyl", gamma=g_n, k_max=n)),
+            ("weyl_gamma_1_over_2k", dict(family="weyl", gamma=g_k, k_max=n)),
+            ("optimal_gamma_1_over_2n", dict(family="optimal", gamma=g_n)),
+            ("optimal_gamma_1_over_2k", dict(family="optimal", gamma=g_k)),
+            ("fzc_1_1_1.275", dict(family="fzc")),
+            ("gold", dict(family="gold")),
         ]
         return "ebn0", ebn0_axis, base, curves
     if name == "fig3":
         n = 32
         base = dict(
-            n_chips=n, ebn0_db=25.0, gamma=1.0 / (2 * n), family=FamilySpec(kind="weyl"), k_max=n
+            n_chips=n, ebn0_db=25.0, gamma=1.0 / (2 * n), family="weyl", k_max=n
         )
         curves = [
             ("weyl_random_sigma", dict(policy="random")),
@@ -261,13 +252,13 @@ def _preset_curves(name: str):
     if name == "fig4":
         n, k = 30, 7
         g_n, g_k = 1.0 / (2 * n), 1.0 / (2 * k)
-        base = dict(n_chips=n, n_users=k, policy="random", family=FamilySpec(kind="weyl"))
+        base = dict(n_chips=n, n_users=k, policy="random", family="weyl")
         curves = [
             ("weyl_kmax30_gamma_1_over_2n", dict(k_max=30, gamma=g_n)),
             ("weyl_kmax30_gamma_1_over_2k", dict(k_max=30, gamma=g_k)),
             ("weyl_kmax14_gamma_1_over_2n", dict(k_max=14, gamma=g_n)),
             ("weyl_kmax14_gamma_1_over_2k", dict(k_max=14, gamma=g_k)),
-            ("optimal", dict(family=FamilySpec(kind="optimal"), gamma=g_n)),
+            ("optimal", dict(family="optimal", gamma=g_n)),
         ]
         return "ebn0", ebn0_axis, base, curves
     raise KeyError(name)
@@ -288,16 +279,10 @@ def run_preset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    template_defaults = dict(
-        n_users=2, n_chips=31, ebn0_db=25.0, trials=trials, seed=seed, gamma=0.0
-    )
     for idx, (label, overrides) in enumerate(curves):
-        kwargs = dict(template_defaults)
-        kwargs.update(base)
-        kwargs.update(overrides)
-        kwargs["trials"] = trials
-        kwargs["seed"] = seed + idx
-        config = SimConfig(**kwargs)
+        # placeholders for the swept field (n_users or ebn0_db), echoed in the header
+        fields = {"n_users": 2, "ebn0_db": 25.0, **base, **overrides}
+        config = SimConfig(**fields, trials=trials, seed=seed + idx)
         curve_values = values
         if axis == "users":
             curve_values = tuple(
@@ -336,7 +321,8 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(ber_sweep_defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``ber_sweep_defaults`` (from --config) replace ber-sweep's defaults."""
     parser = argparse.ArgumentParser(
         prog="weylcdma",
         description="Spreading-sequence toolkit and asynchronous-CDMA BER simulator",
@@ -387,25 +373,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("ber-sweep", help="Monte-Carlo BER sweep over users or E/N0")
     b.add_argument("--config", default=None, help="JSON file supplying any of the flags below")
-    b.add_argument("--axis", choices=("users", "ebn0"))
+    b.add_argument("--axis", choices=("users", "ebn0"), default="users")
     b.add_argument("--values", help="comma-separated axis values")
-    b.add_argument("--family", choices=("weyl", "optimal", "fzc", "gold"))
-    b.add_argument("--gamma", type=float)
+    b.add_argument("--family", choices=("weyl", "optimal", "fzc", "gold"), default="weyl")
+    b.add_argument("--gamma", type=float, default=0.0)
     b.add_argument("--kmax", type=int)
-    b.add_argument("--policy", choices=("random", "vdc", "sequential"))
-    b.add_argument("--n", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--ebn0-db", dest="ebn0_db", type=float)
-    b.add_argument("--trials", type=int)
-    b.add_argument("--seed", type=int)
+    b.add_argument("--policy", choices=("random", "vdc", "sequential"), default="random")
+    b.add_argument("--n", type=int, default=31)
+    b.add_argument("--k", type=int, default=4)
+    b.add_argument("--ebn0-db", dest="ebn0_db", type=float, default=25.0)
+    b.add_argument("--trials", type=int, default=10_000)
+    b.add_argument("--seed", type=int, default=0)
     b.add_argument(
         "--sigma-mode",
         dest="sigma_mode",
         choices=("per-trial", "fixed"),
+        default="per-trial",
         help="random policy: redraw slots each trial (default) or fix one draw",
     )
     _add_out(b)
-    b.set_defaults(func=_cmd_ber_sweep)
+    b.set_defaults(func=_cmd_ber_sweep, **(ber_sweep_defaults or {}))
 
     p = sub.add_parser("preset", help="run a named experiment preset (fig1..fig4)")
     p.add_argument("name", help="fig1 | fig2 | fig3 | fig4")
@@ -417,45 +404,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BER_SWEEP_DEFAULTS = {
-    "axis": "users",
-    "values": None,
-    "family": "weyl",
-    "gamma": 0.0,
-    "kmax": None,
-    "policy": "random",
-    "n": 31,
-    "k": 4,
-    "ebn0_db": 25.0,
-    "trials": 10_000,
-    "seed": 0,
-    "sigma_mode": "per-trial",
-}
-
-
-def _apply_config_file(args) -> None:
-    """Fill unset ber-sweep args from --config JSON; explicit flags win."""
-    file_values = {}
-    if args.config:
-        file_values = json.loads(Path(args.config).read_text())
-        unknown = set(file_values) - set(_BER_SWEEP_DEFAULTS) - {"out"}
-        if unknown:
-            raise SystemExit(f"ber-sweep: unknown config keys {sorted(unknown)}")
-    for key, default in _BER_SWEEP_DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, default))
-    if getattr(args, "out", None) is None and "out" in file_values:
-        args.out = file_values["out"]
-    if args.values is None:
-        raise SystemExit("ber-sweep: --values is required (flag or config file)")
+def _config_file_values(path: str) -> dict:
+    """ber-sweep option values from a JSON file; unknown keys are rejected."""
+    values = json.loads(Path(path).read_text())
+    known = set(vars(build_parser().parse_args(["ber-sweep"]))) - {"command", "config", "func"}
+    unknown = set(values) - known
+    if unknown:
+        raise ValueError(f"ber-sweep: unknown config keys {sorted(unknown)}")
+    return values
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "ber-sweep":
-        _apply_config_file(args)
     try:
+        if args.command == "ber-sweep" and args.config:
+            # re-parse with the file's values as defaults, so explicit flags win
+            args = build_parser(_config_file_values(args.config)).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from weylcdma.sequences import (
     FZCParams,
     fzc_family_sequence,
     gold_family,
+    gold_family_size,
     optimal_weyl_sequence,
     vdc_assignment,
 )
@@ -50,7 +51,6 @@ from weylcdma.snr import LinkBudget
 __all__ = [
     "TC",
     "Z95",
-    "FamilySpec",
     "SimConfig",
     "TrialDraw",
     "BERResult",
@@ -72,30 +72,25 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK_BUDGET = 1_000_000  # target elements per (T, K, K) work array
 _THREADS_ENV = "WEYLCDMA_THREADS"
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Which spreading family the simulator draws codes from.
-
-    kinds: "weyl" (slot pool of size k_max, default N), "optimal" (alias
-    for weyl with k_max = K), "fzc" (one code per index m coprime to N,
-    with the exponent triple below), "gold" (all N+2 members; N must be
-    2**m - 1).
-    """
-
-    kind: str = "weyl"
-    fzc_triple: tuple[float, float, float | None] = (1.0, 1.0, 1.275)
-    gold_taps: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+_FZC_TRIPLE = (1.0, 1.0, 1.275)  # (p, q, r) exponents of the fzc pool
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation run.
+
+    family kinds: "weyl" (slot pool of size k_max, default N), "optimal"
+    (weyl with k_max = K), "fzc" (one code per index m coprime to N, with
+    the exponent triple ``_FZC_TRIPLE``), "gold" (all N+2 members of the
+    built-in degree-5 family, so N = 31).
+    """
+
     n_users: int
     n_chips: int
     ebn0_db: float
     trials: int
     seed: int
-    family: FamilySpec = field(default_factory=FamilySpec)
+    family: str = "weyl"
     policy: str = "random"
     gamma: float = 0.0
     k_max: int | None = None
@@ -157,58 +152,61 @@ def wilson_interval(errors: int, n: int, z: float = Z95) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _coprime_indices(n: int) -> list[int]:
     return [m for m in range(1, n) if math.gcd(m, n) == 1]
 
 
-def _resolved_k_max(config: SimConfig) -> int:
-    if config.family.kind == "optimal":
-        return config.k_max if config.k_max is not None else config.n_users
-    return config.k_max if config.k_max is not None else config.n_chips
+def _slot_count(config: SimConfig) -> int:
+    """Slots of a weyl/optimal pool: k_max if set, else N (weyl) or K (optimal)."""
+    if config.k_max is not None:
+        return config.k_max
+    return config.n_users if config.family == "optimal" else config.n_chips
+
+
+def _gold_degree(n_chips: int) -> int:
+    degree = round(math.log2(n_chips + 1))
+    if (1 << degree) - 1 != n_chips:
+        raise ValueError("gold family requires n_chips = 2**m - 1")
+    return degree
 
 
 def family_capacity(config: SimConfig) -> int:
-    """Largest user count the configured family pool can serve."""
-    kind = config.family.kind
+    """Largest user count the configured family pool can serve (builds no pool)."""
+    kind = config.family
     if kind in ("weyl", "optimal"):
-        return _resolved_k_max(config)
+        return _slot_count(config)
     if kind == "fzc":
         return len(_coprime_indices(config.n_chips))
     if kind == "gold":
-        return config.n_chips + 2
+        return gold_family_size(_gold_degree(config.n_chips))
     raise ValueError(f"unknown family kind {kind!r}")
 
 
 def build_pool(config: SimConfig) -> np.ndarray:
     """Materialize the family's candidate codes as an (F, N) complex array."""
     _validate(config)
-    kind = config.family.kind
     n = config.n_chips
-    if kind in ("weyl", "optimal"):
-        k_max = _resolved_k_max(config)
+    if config.family == "fzc":
+        p, q, r = _FZC_TRIPLE
+        pool = [
+            fzc_family_sequence(FZCParams(m_k=float(m), p=p, q=q, r=r, n_chips=n)).chips
+            for m in _coprime_indices(n)
+        ]
+    elif config.family == "gold":
+        pool = [s.chips for s in gold_family(_gold_degree(n))]
+    else:  # weyl, optimal
+        k_max = _slot_count(config)
         pool = [
             optimal_weyl_sequence(
                 OptimalWeylParams(gamma=config.gamma, sigma_k=s, k_max=k_max, n_chips=n)
             ).chips
             for s in range(k_max)
         ]
-    elif kind == "fzc":
-        p, q, r = config.family.fzc_triple
-        pool = [
-            fzc_family_sequence(FZCParams(m_k=float(m), p=p, q=q, r=r, n_chips=n)).chips
-            for m in _coprime_indices(n)
-        ]
-    else:  # gold
-        degree = round(math.log2(n + 1))
-        pool = [s.chips for s in gold_family(degree, taps=config.family.gold_taps)]
     return np.vstack(pool)
 
 
 def _validate(config: SimConfig) -> None:
+    # family rules live in family_capacity, E/N0 in LinkBudget.from_db, vdc slots in vdc_assignment
     if config.n_users < 1:
         raise ValueError("n_users must be >= 1")
     if config.n_chips < 2:
@@ -217,33 +215,15 @@ def _validate(config: SimConfig) -> None:
         raise ValueError("trials must be >= 1")
     if config.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    if math.isnan(config.ebn0_db) or config.ebn0_db == -math.inf:
-        raise ValueError(f"ebn0_db must be a number or +inf (noise-free), got {config.ebn0_db}")
     policy = AssignmentPolicy(config.policy)
-    kind = config.family.kind
-    if kind not in ("weyl", "optimal", "fzc", "gold"):
-        raise ValueError(f"unknown family kind {kind!r}")
-    if kind in ("weyl", "optimal"):
-        k_max = _resolved_k_max(config)
-        if k_max < config.n_users:
-            raise ValueError(f"k_max={k_max} cannot serve {config.n_users} users")
-    if kind == "gold":
-        degree = round(math.log2(config.n_chips + 1))
-        if (1 << degree) - 1 != config.n_chips:
-            raise ValueError("gold family requires n_chips = 2**m - 1")
-        if degree != 5 and config.family.gold_taps is None:
-            raise ValueError("gold family beyond degree 5 requires explicit taps")
-    if policy is AssignmentPolicy.VAN_DER_CORPUT:
-        if kind != "weyl":
-            raise ValueError("vdc policy applies to the weyl family with k_max = n_chips")
-        if _resolved_k_max(config) != config.n_chips:
-            raise ValueError("vdc policy requires k_max = n_chips")
-        if not (_is_power_of_two(config.n_chips) and config.n_chips >= 4):
-            raise ValueError("vdc policy requires n_chips = 2**m with m > 1")
     capacity = family_capacity(config)
+    if policy is AssignmentPolicy.VAN_DER_CORPUT and (
+        config.family != "weyl" or capacity != config.n_chips
+    ):
+        raise ValueError("vdc policy applies to the weyl family with k_max = n_chips")
     if config.n_users > capacity:
         raise ValueError(
-            f"n_users={config.n_users} exceeds the {kind} family capacity {capacity}"
+            f"n_users={config.n_users} exceeds the {config.family} family capacity {capacity}"
         )
 
 
@@ -316,18 +296,16 @@ class _Engine:
     config: SimConfig
     table: np.ndarray            # (F, F, 2N+1) pairwise correlations
     fixed_sigma: np.ndarray | None
-    pool_size: int
     noise_std: float
     chunk_size: int
     n_chunks: int
 
 
 def _prepare(config: SimConfig) -> _Engine:
-    pool = build_pool(config)
-    table = aperiodic_table(pool)
-    fixed = _fixed_assignment(config, pool.shape[0])
-    ebn0 = 10.0 ** (config.ebn0_db / 10.0)
-    noise_std = math.sqrt(0.5 / ebn0) if math.isfinite(ebn0) else 0.0
+    table = aperiodic_table(build_pool(config))
+    fixed = _fixed_assignment(config, table.shape[0])
+    budget = LinkBudget.from_db(config.ebn0_db, config.n_chips, config.n_users)
+    noise_std = math.sqrt(budget.noise_term)
     k = config.n_users
     chunk = int(np.clip(_CHUNK_BUDGET // (k * k), 256, 65536))
     n_chunks = -(-config.trials // chunk)
@@ -335,7 +313,6 @@ def _prepare(config: SimConfig) -> _Engine:
         config=config,
         table=table,
         fixed_sigma=fixed,
-        pool_size=pool.shape[0],
         noise_std=noise_std,
         chunk_size=chunk,
         n_chunks=n_chunks,
@@ -355,7 +332,7 @@ def _simulate_chunk(engine: _Engine, chunk_index: int) -> tuple[TrialDraw, np.nd
     rng = _chunk_rng(cfg.seed, chunk_index)
 
     if engine.fixed_sigma is None:
-        keys = rng.random((t, engine.pool_size))
+        keys = rng.random((t, engine.table.shape[0]))
         sigma = np.argsort(keys, axis=1)[:, :k].astype(np.int64)
     else:
         sigma = np.broadcast_to(engine.fixed_sigma, (t, k)).copy()
@@ -489,10 +466,10 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
         rows.append(
             SweepRow(
                 axis_value=float(v),
-                family=cfg.family.kind,
+                family=cfg.family,
                 policy=cfg.policy,
                 gamma=cfg.gamma,
-                kmax=_resolved_k_max(cfg) if cfg.family.kind in ("weyl", "optimal") else 0,
+                kmax=_slot_count(cfg) if cfg.family in ("weyl", "optimal") else 0,
                 mean_ber=res.mean_ber,
                 wilson_lo=res.wilson_lo,
                 wilson_hi=res.wilson_hi,

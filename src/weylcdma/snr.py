@@ -51,7 +51,19 @@ class LinkBudget:
 
     @classmethod
     def from_db(cls, ebn0_db: float, n_chips: int, n_users: int) -> "LinkBudget":
-        return cls(e_over_n0=10.0 ** (ebn0_db / 10.0), n_chips=n_chips, n_users=n_users)
+        """The package's one dB-to-linear conversion; +inf dB is noise-free.
+
+        A value whose linear ratio or noise term N0/2E is not a finite
+        float (nan, -inf, or beyond about +-3000 dB) is rejected.
+        """
+        try:
+            e_over_n0 = 10.0 ** (float(ebn0_db) / 10.0)  # a Python float raises on overflow
+            noise_term = 0.5 / e_over_n0
+        except (OverflowError, ZeroDivisionError):
+            noise_term = math.nan
+        if not noise_term < math.inf:
+            raise ValueError(f"ebn0_db must lie in about [-3000, 3000] dB or be +inf, got {ebn0_db}")
+        return cls(e_over_n0=e_over_n0, n_chips=n_chips, n_users=n_users)
 
     @property
     def noise_term(self) -> float:

@@ -18,7 +18,7 @@ from weylcdma.phase_opt import (
     verify_optimality_by_sampling,
 )
 from weylcdma.sequences import OptimalWeylParams, WeylParams, optimal_weyl_sequence, weyl_sequence
-from weylcdma.sim import FamilySpec, SimConfig, collect_decision_noise, run_ber
+from weylcdma.sim import SimConfig, collect_decision_noise, run_ber
 from weylcdma.snr import (
     LinkBudget,
     csc2_sum,
@@ -114,7 +114,7 @@ def test_c05_snr_bridge_empirical_and_analytic():
     ebn0_db = 25.0
     budget = LinkBudget.from_db(ebn0_db, n, k)
     cfg = SimConfig(n_users=k, n_chips=n, ebn0_db=ebn0_db, trials=120_000, seed=404,
-                    family=FamilySpec(kind="weyl"), policy="random", gamma=gamma, k_max=n)
+                    family="weyl", policy="random", gamma=gamma, k_max=n)
     sigma, z_err = collect_decision_noise(cfg)
     worst_rel = 0.0
     for slot in range(n):
@@ -177,9 +177,9 @@ def test_c07_family_ordering_at_25db():
     n, k, trials = 31, 10, 100_000  # 1e6 decisions per family
     gamma = 1.0 / (2 * n)
     runs = {
-        "optimal": SimConfig(k, n, 25.0, trials, 701, FamilySpec("optimal"), "random", gamma),
-        "weyl": SimConfig(k, n, 25.0, trials, 702, FamilySpec("weyl"), "random", gamma, n),
-        "gold": SimConfig(k, n, 25.0, trials, 703, FamilySpec("gold"), "random", gamma),
+        "optimal": SimConfig(k, n, 25.0, trials, 701, "optimal", "random", gamma),
+        "weyl": SimConfig(k, n, 25.0, trials, 702, "weyl", "random", gamma, n),
+        "gold": SimConfig(k, n, 25.0, trials, 703, "gold", "random", gamma),
     }
     res = {name: run_ber(cfg) for name, cfg in runs.items()}
     ordered = (
@@ -205,10 +205,10 @@ def test_c08_vdc_assignment_not_worse_than_random():
     for k in (4, 8, 16):
         trials = max(1, 1_000_000 // k)
         random_res = run_ber(
-            SimConfig(k, n, 25.0, trials, 800 + k, FamilySpec("weyl"), "random", gamma, n)
+            SimConfig(k, n, 25.0, trials, 800 + k, "weyl", "random", gamma, n)
         )
         vdc_res = run_ber(
-            SimConfig(k, n, 25.0, trials, 850 + k, FamilySpec("weyl"), "vdc", gamma, n)
+            SimConfig(k, n, 25.0, trials, 850 + k, "weyl", "vdc", gamma, n)
         )
         hw = (random_res.wilson_hi - random_res.wilson_lo) / 2.0 + (
             vdc_res.wilson_hi - vdc_res.wilson_lo
@@ -228,7 +228,7 @@ def test_c09_optimal_gamma_agreement():
         for gamma, seed in ((1.0 / (2 * n), 901), (1.0 / (2 * k), 902)):
             res.append(
                 run_ber(
-                    SimConfig(k, n, ebn0_db, trials, seed, FamilySpec("optimal"),
+                    SimConfig(k, n, ebn0_db, trials, seed, "optimal",
                               "random", gamma)
                 )
             )

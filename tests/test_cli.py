@@ -104,6 +104,11 @@ class TestSnr:
         for r in rows:
             assert float(r[3]) <= float(r[2]) + 1e-9
 
+    def test_out_of_range_ebn0_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["snr", "--n", "31", "--k", "31", "--ebn0-db=4000"])
+        assert code == 1 and out == ""
+        assert "ebn0_db" in err
+
 
 class TestBerSweep:
     ARGS = [
@@ -148,6 +153,13 @@ class TestBerSweep:
         _, rows = data_rows(out)
         assert [r[0] for r in rows] == ["2", "3", "4"]
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(values="2", sigma_mod="fixed")))
+        code, out, err = run_cli(capsys, ["ber-sweep", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert "sigma_mod" in err
+
     def test_missing_values_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["ber-sweep", "--axis", "users"])
@@ -162,10 +174,12 @@ class TestBerSweep:
     def test_nan_ebn0_rejected(self, capsys):
         args = list(self.ARGS)
         args[args.index("users")] = "ebn0"
-        args[args.index("2,3")] = "nan"
-        code, out, err = run_cli(capsys, args)
-        assert code == 1 and out == ""
-        assert "ebn0_db" in err
+        for value in ("nan", "4000", "-4000"):  # 10**400 overflows, 10**-400 underflows
+            argv = list(args)
+            argv[argv.index("--values"):argv.index("2,3") + 1] = [f"--values={value}"]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1 and out == ""
+            assert "ebn0_db" in err
 
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"

@@ -2,6 +2,7 @@
 vectorized engine, determinism, interference bounds, variance bridges,
 and sweep behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from weylcdma.correlation import cross_bound, periodic_theta
 from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence
 from weylcdma.sim import (
     TC,
-    FamilySpec,
     SimConfig,
     TrialDraw,
     build_pool,
@@ -44,7 +44,7 @@ def trial_row(draws, t):
 
 # K = 31 gives 1040-trial chunks, so 2500 trials span three chunks
 MULTI_CHUNK = SimConfig(n_users=31, n_chips=31, ebn0_db=8.0, trials=2500, seed=5,
-                        family=FamilySpec(kind="weyl"), gamma=1 / 62, k_max=31)
+                        family="weyl", gamma=1 / 62, k_max=31)
 
 
 def slot_family(gamma, n, slots):
@@ -169,7 +169,7 @@ class TestEngineConsistency:
             ebn0_db=18.0,
             trials=12,
             seed=99,
-            family=FamilySpec(kind="weyl"),
+            family="weyl",
             policy="random",
             gamma=1 / 32,
             k_max=16,
@@ -187,7 +187,7 @@ class TestEngineConsistency:
     def test_gold_and_fzc_pools(self):
         for kind, n in (("gold", 31), ("fzc", 31)):
             cfg = SimConfig(n_users=4, n_chips=n, ebn0_db=20.0, trials=6, seed=3,
-                            family=FamilySpec(kind=kind))
+                            family=kind)
             draws, noise, zs = simulate_trials(cfg)
             pool = build_pool(cfg)
             budget = LinkBudget.from_db(20.0, n, 4)
@@ -198,7 +198,7 @@ class TestEngineConsistency:
 
     def test_distinct_sigma_within_each_trial(self):
         cfg = SimConfig(n_users=6, n_chips=8, ebn0_db=15.0, trials=300, seed=8,
-                        family=FamilySpec(kind="weyl"), k_max=8)
+                        family="weyl", k_max=8)
         draws, _, _ = simulate_trials(cfg)
         for row in draws.sigma:
             assert len(set(row.tolist())) == 6
@@ -216,7 +216,7 @@ class TestEngineConsistency:
 class TestRunBer:
     def test_deterministic(self):
         cfg = SimConfig(n_users=4, n_chips=16, ebn0_db=12.0, trials=4000, seed=21,
-                        family=FamilySpec(kind="weyl"), gamma=1 / 32, k_max=16)
+                        family="weyl", gamma=1 / 32, k_max=16)
         a, b = run_ber(cfg), run_ber(cfg)
         assert a.mean_ber == b.mean_ber
         assert a.error_count == b.error_count
@@ -238,26 +238,26 @@ class TestRunBer:
 
     def test_mean_matches_double_average(self):
         cfg = SimConfig(n_users=3, n_chips=16, ebn0_db=8.0, trials=500, seed=33,
-                        family=FamilySpec(kind="weyl"), k_max=16)
+                        family="weyl", k_max=16)
         res = run_ber(cfg)
         assert res.mean_ber == pytest.approx(float(np.mean(res.per_user_ber)), rel=1e-12)
         assert res.bit_count == 3 * 500
 
     def test_fixed_sigma_mode_reuses_one_assignment(self):
         cfg = SimConfig(n_users=3, n_chips=8, ebn0_db=10.0, trials=50, seed=4,
-                        family=FamilySpec(kind="weyl"), k_max=8, redraw_sigma=False)
+                        family="weyl", k_max=8, redraw_sigma=False)
         draws, _, _ = simulate_trials(cfg)
         assert np.all(draws.sigma == draws.sigma[0])
 
     def test_sequential_policy(self):
         cfg = SimConfig(n_users=4, n_chips=16, ebn0_db=10.0, trials=10, seed=4,
-                        family=FamilySpec(kind="optimal"), policy="sequential")
+                        family="optimal", policy="sequential")
         draws, _, _ = simulate_trials(cfg)
         np.testing.assert_array_equal(draws.sigma[0], [0, 1, 2, 3])
 
     def test_vdc_policy_uses_radical_inverse_slots(self):
         cfg = SimConfig(n_users=4, n_chips=16, ebn0_db=10.0, trials=10, seed=4,
-                        family=FamilySpec(kind="weyl"), policy="vdc")
+                        family="weyl", policy="vdc")
         draws, _, _ = simulate_trials(cfg)
         np.testing.assert_array_equal(draws.sigma[0], [0, 8, 4, 12])
 
@@ -290,7 +290,7 @@ class TestVarianceBridge:
         n = k = 8
         gamma = 1.0 / 16.0
         cfg = SimConfig(n_users=k, n_chips=n, ebn0_db=25.0, trials=60_000, seed=12,
-                        family=FamilySpec(kind="weyl"), policy="random", gamma=gamma, k_max=n)
+                        family="weyl", policy="random", gamma=gamma, k_max=n)
         sigma, z_err = collect_decision_noise(cfg)
         budget = LinkBudget.from_db(25.0, n, k)
         for slot in range(n):
@@ -307,7 +307,7 @@ class TestGammaInvariance:
         results = []
         for gamma, seed in ((1.0 / (2 * n), 61), (1.0 / (2 * k), 62)):
             cfg = SimConfig(n_users=k, n_chips=n, ebn0_db=8.0, trials=30_000, seed=seed,
-                            family=FamilySpec(kind="optimal"), policy="sequential",
+                            family="optimal", policy="sequential",
                             gamma=gamma)
             results.append(run_ber(cfg))
         hw = sum((r.wilson_hi - r.wilson_lo) / 2.0 for r in results)
@@ -317,7 +317,7 @@ class TestGammaInvariance:
 class TestSweep:
     def test_users_axis_trend(self):
         cfg = SimConfig(n_users=2, n_chips=16, ebn0_db=25.0, trials=30_000, seed=10,
-                        family=FamilySpec(kind="weyl"), gamma=1 / 32, k_max=16)
+                        family="weyl", gamma=1 / 32, k_max=16)
         rows = sweep(cfg, "users", [2, 8, 14])
         # interference grows with K; allow interval slack at each step
         for lo_row, hi_row in zip(rows, rows[1:]):
@@ -327,7 +327,7 @@ class TestSweep:
 
     def test_ebn0_axis_trend(self):
         cfg = SimConfig(n_users=3, n_chips=16, ebn0_db=0.0, trials=20_000, seed=11,
-                        family=FamilySpec(kind="weyl"), gamma=1 / 32, k_max=16)
+                        family="weyl", gamma=1 / 32, k_max=16)
         rows = sweep(cfg, "ebn0", [0.0, 6.0, 12.0])
         for hi_row, lo_row in zip(rows, rows[1:]):
             assert lo_row.mean_ber <= hi_row.mean_ber + (
@@ -339,7 +339,7 @@ class TestSweep:
         rows = {}
         for policy, seed in (("random", 1), ("vdc", 2)):
             cfg = SimConfig(n_users=8, n_chips=n, ebn0_db=25.0, trials=40_000, seed=seed,
-                            family=FamilySpec(kind="weyl"), policy=policy,
+                            family="weyl", policy=policy,
                             gamma=1.0 / (2 * n), k_max=n)
             rows[policy] = run_ber(cfg)
         hw = sum((rows[p].wilson_hi - rows[p].wilson_lo) / 2.0 for p in rows)
@@ -347,7 +347,7 @@ class TestSweep:
 
     def test_rejects_fractional_users(self):
         cfg = SimConfig(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,
-                        family=FamilySpec(kind="weyl"), k_max=16)
+                        family="weyl", k_max=16)
         for values in ([2.5, 3.9], [2, 3.5], [math.inf]):
             with pytest.raises(ValueError, match="whole numbers"):
                 sweep(cfg, "users", values)
@@ -355,7 +355,7 @@ class TestSweep:
 
     def test_rejects_unknown_axis(self):
         cfg = SimConfig(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,
-                        family=FamilySpec(kind="weyl"), k_max=16)
+                        family="weyl", k_max=16)
         with pytest.raises(ValueError):
             sweep(cfg, "chips", [8, 16])
 
@@ -363,7 +363,7 @@ class TestSweep:
 class TestValidation:
     def test_config_field_errors(self):
         good = dict(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,
-                    family=FamilySpec(kind="weyl"), k_max=16)
+                    family="weyl", k_max=16)
         for bad in (
             dict(good, n_users=0),
             dict(good, n_chips=1),
@@ -373,27 +373,32 @@ class TestValidation:
             dict(good, k_max=1),  # fewer slots than users
             dict(good, ebn0_db=math.nan),
             dict(good, ebn0_db=-math.inf),
+            dict(good, ebn0_db=4000.0),  # 10**400 overflows a float
+            dict(good, ebn0_db=-4000.0),  # underflows to 0
+            dict(good, family="walsh"),
         ):
             with pytest.raises(ValueError):
                 run_ber(SimConfig(**bad))
 
     def test_gold_requires_mersenne_length(self):
         cfg = SimConfig(n_users=2, n_chips=30, ebn0_db=10.0, trials=10, seed=0,
-                        family=FamilySpec(kind="gold"))
+                        family="gold")
         with pytest.raises(ValueError):
             run_ber(cfg)
+        with pytest.raises(ValueError):  # 63 = 2**6 - 1, but no built-in degree-6 pair
+            run_ber(dataclasses.replace(cfg, n_chips=63))
 
     def test_vdc_requires_power_of_two_and_full_pool(self):
         with pytest.raises(ValueError):
             run_ber(SimConfig(n_users=4, n_chips=31, ebn0_db=10.0, trials=10, seed=0,
-                              family=FamilySpec(kind="weyl"), policy="vdc"))
+                              family="weyl", policy="vdc"))
         with pytest.raises(ValueError):
             run_ber(SimConfig(n_users=4, n_chips=16, ebn0_db=10.0, trials=10, seed=0,
-                              family=FamilySpec(kind="weyl"), policy="vdc", k_max=8))
+                              family="weyl", policy="vdc", k_max=8))
 
     def test_fzc_capacity(self):
         cfg = SimConfig(n_users=31, n_chips=31, ebn0_db=10.0, trials=10, seed=0,
-                        family=FamilySpec(kind="fzc"))
+                        family="fzc")
         assert family_capacity(cfg) == 30  # phi(31)
         with pytest.raises(ValueError):
             run_ber(cfg)
