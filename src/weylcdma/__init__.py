@@ -36,7 +36,6 @@ from weylcdma.phase_opt import (
     LagrangeMultipliers,
     PhaseAssignment,
     SamplingReport,
-    SlackMatrix,
     circle_distance,
     construct_multipliers,
     global_solution,

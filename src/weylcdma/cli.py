@@ -321,8 +321,7 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def build_parser(ber_sweep_defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``ber_sweep_defaults`` (from --config) replace ber-sweep's defaults."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylcdma",
         description="Spreading-sequence toolkit and asynchronous-CDMA BER simulator",
@@ -392,7 +391,7 @@ def build_parser(ber_sweep_defaults: dict | None = None) -> argparse.ArgumentPar
         help="random policy: redraw slots each trial (default) or fix one draw",
     )
     _add_out(b)
-    b.set_defaults(func=_cmd_ber_sweep, **(ber_sweep_defaults or {}))
+    b.set_defaults(func=_cmd_ber_sweep)
 
     p = sub.add_parser("preset", help="run a named experiment preset (fig1..fig4)")
     p.add_argument("name", help="fig1 | fig2 | fig3 | fig4")
@@ -404,23 +403,29 @@ def build_parser(ber_sweep_defaults: dict | None = None) -> argparse.ArgumentPar
     return parser
 
 
-def _config_file_values(path: str) -> dict:
-    """ber-sweep option values from a JSON file; unknown keys are rejected."""
+def _config_file_flags(path: str) -> list[str]:
+    """ber-sweep flags from a JSON object file as ``--key=value`` tokens; null values are skipped."""
     values = json.loads(Path(path).read_text())
+    if not isinstance(values, dict):
+        raise ValueError("ber-sweep: the config file must hold a JSON object")
     known = set(vars(build_parser().parse_args(["ber-sweep"]))) - {"command", "config", "func"}
-    unknown = set(values) - known
-    if unknown:
-        raise ValueError(f"ber-sweep: unknown config keys {sorted(unknown)}")
-    return values
+    for key, value in values.items():
+        if key not in known:
+            raise ValueError(f"ber-sweep: unknown config key {key!r}")
+        if isinstance(value, (list, dict)):
+            raise ValueError(f"ber-sweep: config key {key!r} must be a single value")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items() if value is not None]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.command == "ber-sweep" and args.config:
-            # re-parse with the file's values as defaults, so explicit flags win
-            args = build_parser(_config_file_values(args.config)).parse_args(argv)
+            # the file's flags go ahead of the command line's, so explicit flags win
+            at = argv.index("ber-sweep") + 1
+            args = parser.parse_args(argv[:at] + _config_file_flags(args.config) + argv[at:])
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)

@@ -7,12 +7,12 @@ objective, produces that closed-form solution together with its slack
 values, constructs the Lagrange multipliers that certify it, and checks
 the full KKT system (stationarity, primal feasibility, complementary
 slackness) numerically. A random-sampling falsifier provides an
-independent empirical cross-check.
+independent empirical cross-check. Every function takes its user pairs
+i < k from np.triu_indices(K, 1).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "PhaseAssignment",
-    "SlackMatrix",
     "LagrangeMultipliers",
     "SamplingReport",
     "circle_distance",
@@ -36,16 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseAssignment:
-    """Sorted user phases in [0, 1) plus the offset they were built from."""
+    """Sorted user phases in [0, 1)."""
 
     rhos: np.ndarray
-    gamma: float = 0.0
 
     def __post_init__(self) -> None:
         rhos = np.asarray(self.rhos, dtype=np.float64)
         if rhos.ndim != 1 or rhos.size < 1:
             raise ValueError("rhos must be a non-empty 1-D vector")
-        if np.any(rhos < 0.0) or np.any(rhos >= 1.0):
+        if not np.all((rhos >= 0.0) & (rhos < 1.0)):  # NaN fails too
             raise ValueError("phases must lie in [0, 1)")
         if np.any(np.diff(rhos) < 0.0):
             raise ValueError("phases must be nondecreasing")
@@ -57,40 +55,28 @@ class PhaseAssignment:
 
 
 @dataclass(frozen=True)
-class SlackMatrix:
-    """Strictly-upper-triangular slack values t[i, k] for i < k (0-based)."""
-
-    t: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("t must be a square matrix")
-        object.__setattr__(self, "t", t)
-
-
-@dataclass(frozen=True)
 class LagrangeMultipliers:
-    """Multipliers for the slack-form problem; zero outside the i < k triangle."""
+    """Pair multipliers (i < k triangle) of the lower-distance (lam) and wrap (mu) constraints.
+
+    The ordering, [0, 1) and t >= 0 multipliers are zero at the equispaced solution."""
 
     lam: np.ndarray
     mu: np.ndarray
-    nu: np.ndarray
-    xi_1: float
-    xi_k: float
-    o: np.ndarray
 
 
-def circle_distance(rho_i: float, rho_k: float) -> float:
-    """Wrap-around distance min(|rho_i - rho_k|, 1 - |rho_i - rho_k|) in [0, 1/2]."""
-    diff = abs(rho_i - rho_k) % 1.0
-    return min(diff, 1.0 - diff)
+def circle_distance(rho_i, rho_k):
+    """Wrap-around distance min(|rho_i - rho_k|, 1 - |rho_i - rho_k|) in [0, 1/2], elementwise."""
+    diff = np.abs(np.subtract(rho_i, rho_k))
+    diff = diff - np.floor(diff)  # fractional part; exact for diff >= 0
+    return np.minimum(diff, 1.0 - diff)
 
 
-def _rhos(assignment) -> np.ndarray:
-    if isinstance(assignment, PhaseAssignment):
-        return assignment.rhos
-    return np.asarray(assignment, dtype=np.float64)
+def _pair_sum(rhos: np.ndarray) -> np.ndarray:
+    """Sum over pairs i < k of 1/sin(pi * d) along the last axis; inf when a distance is 0."""
+    i, j = np.triu_indices(rhos.shape[-1], 1)
+    s = np.sin(np.pi * circle_distance(rhos[..., i], rhos[..., j]))
+    with np.errstate(divide="ignore"):
+        return np.sum(1.0 / s, axis=-1)
 
 
 def objective(assignment) -> float:
@@ -99,44 +85,40 @@ def objective(assignment) -> float:
     Duplicate phases make a pair distance zero; the objective is then
     signaled as math.inf rather than raising, so samplers can keep going.
     """
-    rhos = _rhos(assignment)
-    k = rhos.size
-    if k < 2:
-        return 0.0
-    diff = np.abs(rhos[:, None] - rhos[None, :]) % 1.0
-    d = np.minimum(diff, 1.0 - diff)
-    iu = np.triu_indices(k, 1)
-    s = np.sin(np.pi * d[iu])
-    if np.any(s == 0.0):
-        return math.inf
-    return float(np.sum(1.0 / s))
+    if isinstance(assignment, PhaseAssignment):
+        assignment = assignment.rhos
+    return float(_pair_sum(np.asarray(assignment, dtype=np.float64)))
 
 
-def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, SlackMatrix]:
+def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, np.ndarray]:
     """Closed-form minimizer: equispaced phases gamma + (i-1)/K (mod 1).
 
     The offset enters mod 1/K: shifting gamma by 1/K permutes the same
     phase set, so the sorted representative uses gamma reduced to
-    [0, 1/K), keeping the assignment sorted for any real gamma.  Slack
-    values are t[i, k] = min(|k-i|/K, 1 - |k-i|/K), which equals
-    d(rho_i, rho_k) at this solution.
+    [0, 1/K), keeping the assignment sorted for any real gamma.  The
+    returned (K, K) slack array holds t[i, k] = min(|k-i|/K, 1 - |k-i|/K)
+    for i < k, which equals d(rho_i, rho_k) at this solution, and zeros
+    elsewhere.
     """
     k = int(n_users)
     if k < 2:
         raise ValueError("n_users must be >= 2")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     base = (gamma % 1.0) % (1.0 / k)
     rhos = base + np.arange(k, dtype=np.float64) / k
     rhos = np.minimum(rhos, np.nextafter(1.0, 0.0))  # guard rounding at the top edge
+    i, j = np.triu_indices(k, 1)
+    gap = j - i
     t = np.zeros((k, k))
-    for i, j in itertools.combinations(range(k), 2):
-        m = j - i
-        t[i, j] = min(m / k, 1.0 - m / k)
-    return PhaseAssignment(rhos=rhos, gamma=float(gamma)), SlackMatrix(t=t)
+    t[i, j] = np.minimum(gap / k, 1.0 - gap / k)
+    return PhaseAssignment(rhos=rhos), t
 
 
-def _alpha(t: float) -> float:
-    """pi * cos(pi t) / sin(pi t)**2, the magnitude of d/dt 1/sin(pi t)."""
-    return math.pi * math.cos(math.pi * t) / math.sin(math.pi * t) ** 2
+def _alpha(t):
+    """pi * cos(pi t) / sin(pi t)**2, the magnitude of d/dt 1/sin(pi t), elementwise."""
+    # float_power squares through libm pow, as math's ** does; x * x can differ in the last bit
+    return np.pi * np.cos(np.pi * t) / np.float_power(np.sin(np.pi * t), 2)
 
 
 def alpha_tilde(m: int, n_users: int) -> float:
@@ -144,104 +126,69 @@ def alpha_tilde(m: int, n_users: int) -> float:
     k = int(n_users)
     if not 1 <= m <= k - 1:
         raise ValueError(f"gap must lie in [1, {k - 1}], got {m}")
-    t = min(m / k, 1.0 - m / k)
-    return _alpha(t)
+    return float(_alpha(min(m / k, 1.0 - m / k)))
 
 
 def construct_multipliers(
-    n_users: int, solution: tuple[PhaseAssignment, SlackMatrix]
+    n_users: int, solution: tuple[PhaseAssignment, np.ndarray]
 ) -> LagrangeMultipliers:
     """Multipliers certifying the equispaced solution.
 
-    Only the pair multipliers lam (lower-distance constraint) and mu
-    (wrap-around constraint) are nonzero.  With gap m = k - i: for m < K/2
-    the lower constraint is active and lam carries alpha_tilde(m); for
-    m > K/2 the wrap constraint is active and mu carries it; for even K
-    the antipodal gap m = K/2 has both constraints active and the weight
-    splits evenly.
+    With gap m = k - i: for m < K/2 the lower constraint is active and lam
+    carries alpha_tilde(m); for m > K/2 the wrap constraint is active and
+    mu carries it; for even K the antipodal gap m = K/2 has both
+    constraints active and the weight splits evenly.
     """
     k = int(n_users)
-    _, slack = solution
+    _, t = solution
+    i, j = np.triu_indices(k, 1)
+    gap = j - i
+    a = _alpha(t[i, j])
+    a = np.where(gap == k / 2.0, a / 2.0, a)
     lam = np.zeros((k, k))
     mu = np.zeros((k, k))
-    half = k / 2.0
-    for i, j in itertools.combinations(range(k), 2):
-        gap = j - i
-        a = _alpha(slack.t[i, j])
-        if gap < half:
-            lam[i, j] = a
-        elif gap > half:
-            mu[i, j] = a
-        else:
-            lam[i, j] = a / 2.0
-            mu[i, j] = a / 2.0
-    return LagrangeMultipliers(
-        lam=lam, mu=mu, nu=np.zeros(k - 1), xi_1=0.0, xi_k=0.0, o=np.zeros((k, k))
-    )
+    lam[i, j] = np.where(gap <= k / 2.0, a, 0.0)
+    mu[i, j] = np.where(gap >= k / 2.0, a, 0.0)
+    return LagrangeMultipliers(lam=lam, mu=mu)
 
 
 def stationarity_vector(
-    solution: tuple[PhaseAssignment, SlackMatrix], multipliers: LagrangeMultipliers
+    solution: tuple[PhaseAssignment, np.ndarray], multipliers: LagrangeMultipliers
 ) -> np.ndarray:
     """Gradient of the Lagrangian at the solution, stacked as (rhos, t-pairs).
 
     The t-pairs block is ordered (1,2), (1,3), ..., (1,K), (2,3), ...,
     (K-1,K); the whole vector vanishes at a KKT point.
     """
-    assign, slack = solution
-    k = assign.n_users
-    pairs = list(itertools.combinations(range(k), 2))
-    grad_rho = np.zeros(k)
-    grad_t = np.zeros(len(pairs))
-    for idx, (i, j) in enumerate(pairs):
-        grad_t[idx] = -_alpha(slack.t[i, j])  # objective term d/dt 1/sin(pi t)
-        lam = multipliers.lam[i, j]
-        mu = multipliers.mu[i, j]
-        o = multipliers.o[i, j]
-        grad_rho[i] += lam - mu
-        grad_rho[j] += mu - lam
-        grad_t[idx] += lam + mu - o
-    for i in range(k - 1):
-        nu = multipliers.nu[i]
-        grad_rho[i] += nu
-        grad_rho[i + 1] -= nu
-    grad_rho[0] -= multipliers.xi_1
-    grad_rho[k - 1] += multipliers.xi_k
+    assign, t = solution
+    i, j = np.triu_indices(assign.n_users, 1)
+    lam, mu = multipliers.lam, multipliers.mu
+    net = lam - mu  # each pair adds net to its first phase and -net to its second
+    grad_rho = net.sum(axis=1) - net.sum(axis=0)
+    grad_t = lam[i, j] + mu[i, j] - _alpha(t[i, j])  # objective term d/dt 1/sin(pi t) = -alpha
     return np.concatenate([grad_rho, grad_t])
 
 
 def kkt_residual(
-    solution: tuple[PhaseAssignment, SlackMatrix], multipliers: LagrangeMultipliers
+    solution: tuple[PhaseAssignment, np.ndarray], multipliers: LagrangeMultipliers
 ) -> float:
     """Max-norm stationarity defect plus the worst complementary-slackness
     and primal-feasibility violations; near-zero certifies global
     optimality of the convex slack-form problem."""
-    assign, slack = solution
+    assign, t = solution
     rhos = assign.rhos
-    k = assign.n_users
-    stat = float(np.max(np.abs(stationarity_vector(solution, multipliers))))
-
-    comp = 0.0
-    primal = 0.0
-    neg = 0.0
-
-    def account(value: float, mult: float) -> None:
-        nonlocal comp, primal, neg
-        comp = max(comp, abs(mult * value))
-        primal = max(primal, value)
-        neg = max(neg, -mult)
-
-    for i, j in itertools.combinations(range(k), 2):
-        t = slack.t[i, j]
-        account(t + rhos[i] - rhos[j], multipliers.lam[i, j])
-        account(t - 1.0 - rhos[i] + rhos[j], multipliers.mu[i, j])
-        account(-t, multipliers.o[i, j])
-    for i in range(k - 1):
-        account(rhos[i] - rhos[i + 1], multipliers.nu[i])
-    account(-rhos[0], multipliers.xi_1)
-    account(rhos[k - 1] - 1.0, multipliers.xi_k)
-
-    return stat + comp + max(primal, 0.0) + max(neg, 0.0)
+    i, j = np.triu_indices(assign.n_users, 1)
+    t = t[i, j]
+    lam, mu = multipliers.lam[i, j], multipliers.mu[i, j]
+    lower = t + rhos[i] - rhos[j]
+    wrap = t - 1.0 - rhos[i] + rhos[j]
+    stat = np.max(np.abs(stationarity_vector(solution, multipliers)))
+    comp = np.max(np.abs(np.concatenate([lam * lower, mu * wrap])))
+    primal = np.max(
+        np.concatenate([lower, wrap, -t, rhos[:-1] - rhos[1:], [-rhos[0], rhos[-1] - 1.0]])
+    )
+    neg = np.max(-np.concatenate([lam, mu]))
+    return float(stat + comp + max(primal, 0.0) + max(neg, 0.0))
 
 
 @dataclass(frozen=True)
@@ -277,13 +224,7 @@ def verify_optimality_by_sampling(n_users: int, samples: int, seed: int) -> Samp
         m = min(chunk, remaining)
         remaining -= m
         rho = np.sort(rng.random((m, k)), axis=1)
-        diff = np.abs(rho[:, :, None] - rho[:, None, :])
-        d = np.minimum(diff, 1.0 - diff)
-        iu = np.triu_indices(k, 1)
-        s = np.sin(np.pi * d[:, iu[0], iu[1]])
-        with np.errstate(divide="ignore"):
-            vals = np.where(np.any(s == 0.0, axis=1), np.inf, np.sum(1.0 / s, axis=1))
-        best = min(best, float(np.min(vals)))
+        best = min(best, float(np.min(_pair_sum(rho))))
     return SamplingReport(
         n_users=k,
         n_samples=int(samples),

@@ -100,6 +100,8 @@ def expected_weyl_snr(
     for K/N near 1.
     """
     k, n = int(n_users), int(n_chips)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0 <= int(sigma_i) < n:
         raise ValueError(f"sigma_i must lie in [0, {n}), got {sigma_i}")
     if k < 1:

@@ -90,6 +90,12 @@ class TestSolve:
         assert len(rhos) == 7
         assert np.allclose(np.diff(rhos), 1 / 7)
 
+    def test_nonfinite_gamma_rejected(self, capsys):
+        for gamma in ("nan", "inf"):
+            code, out, err = run_cli(capsys, ["solve", "--k", "3", "--gamma", gamma])
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "gamma" in err
+
 
 class TestSnr:
     def test_table_shape_and_bound(self, capsys):
@@ -108,6 +114,14 @@ class TestSnr:
         code, out, err = run_cli(capsys, ["snr", "--n", "31", "--k", "31", "--ebn0-db=4000"])
         assert code == 1 and out == ""
         assert "ebn0_db" in err
+
+    def test_nonfinite_gamma_rejected(self, capsys):
+        for gamma in ("nan", "inf"):
+            code, out, err = run_cli(
+                capsys, ["snr", "--n", "31", "--k", "4", "--gamma", gamma, "--ebn0-db", "25"]
+            )
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "gamma" in err
 
 
 class TestBerSweep:
@@ -140,6 +154,12 @@ class TestBerSweep:
         assert code == 0
         _, rows = data_rows(out)
         assert len(rows) == 1
+        # a negative leading value and a null (the default) both pass through
+        path.write_text(json.dumps(dict(cfg, axis="ebn0", values="-5,0", kmax=None)))
+        code, out, _ = run_cli(capsys, ["ber-sweep", "--config", str(path)])
+        assert code == 0
+        _, rows = data_rows(out)
+        assert [r[0] for r in rows] == ["-5", "0"] and rows[0][4] == "16"
 
     def test_cli_flags_override_config_file(self, tmp_path, capsys):
         cfg = dict(axis="users", values="2", family="weyl", gamma=0.03125, kmax=16,
@@ -159,6 +179,22 @@ class TestBerSweep:
         code, out, err = run_cli(capsys, ["ber-sweep", "--config", str(path)])
         assert code == 1 and out == ""
         assert "sigma_mod" in err
+
+    def test_config_values_checked_like_flags(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(values=[2, 3])))
+        code, out, err = run_cli(capsys, ["ber-sweep", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "'values'" in err
+        # argparse checks file values as it checks flags: usage, then one error line
+        for cfg, flag in ((dict(values="2", n=31.5), "--n"),
+                          (dict(values="2", sigma_mode="perTrial"), "--sigma-mode")):
+            path.write_text(json.dumps(cfg))
+            with pytest.raises(SystemExit) as exc:
+                main(["ber-sweep", "--config", str(path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and flag in err.splitlines()[-1]
 
     def test_missing_values_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -31,10 +31,16 @@ class TestCircleDistance:
 
     def test_sin_identity(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            a, b = rng.random(), rng.random()
+        pairs = [(rng.random(), rng.random()) for _ in range(50)]
+        for a, b in pairs:
             lhs = math.sin(math.pi * circle_distance(a, b))
             assert lhs == pytest.approx(abs(math.sin(math.pi * (a - b))), abs=1e-12)
+        # elementwise on arrays, also off [0, 1): equal to the scalar calls
+        a, b = np.array(pairs).T
+        for x, y in ((a, b), (7.0 * a - 3.0, 5.0 * b)):
+            assert circle_distance(x, y).tolist() == [
+                circle_distance(float(u), float(v)) for u, v in zip(x, y)
+            ]
 
     def test_metric_axioms_sampled(self):
         rng = np.random.default_rng(1)
@@ -78,7 +84,7 @@ class TestGlobalSolution:
     def test_four_users_gamma_zero(self):
         assign, slack = global_solution(4, 0.0)
         np.testing.assert_allclose(assign.rhos, [0.0, 0.25, 0.5, 0.75])
-        assert slack.t[0, 3] == pytest.approx(0.25)  # min(3/4, 1/4)
+        assert slack[0, 3] == pytest.approx(0.25)  # min(3/4, 1/4)
 
     def test_two_users_offset(self):
         assign, _ = global_solution(2, 0.3)
@@ -88,7 +94,7 @@ class TestGlobalSolution:
         assign, slack = global_solution(7, 0.05)
         for i in range(7):
             for k in range(i + 1, 7):
-                assert slack.t[i, k] == pytest.approx(
+                assert slack[i, k] == pytest.approx(
                     circle_distance(assign.rhos[i], assign.rhos[k]), abs=1e-12
                 )
 
@@ -109,6 +115,13 @@ class TestGlobalSolution:
     def test_rejects_single_user(self):
         with pytest.raises(ValueError):
             global_solution(1, 0.0)
+
+    def test_rejects_nonfinite_phases_and_gamma(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            PhaseAssignment([math.nan, 0.5])
+        for gamma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                global_solution(3, gamma)
 
 
 class TestMultipliers:
@@ -138,31 +151,36 @@ class TestMultipliers:
         for k in range(2, 26):
             mult = construct_multipliers(k, global_solution(k, 0.0))
             assert np.all(mult.lam >= 0) and np.all(mult.mu >= 0)
-            assert np.all(mult.nu == 0) and np.all(mult.o == 0)
-            assert mult.xi_1 == 0.0 and mult.xi_k == 0.0
 
     def test_active_set_structure(self):
         for k in (5, 6):
             assign, slack = global_solution(k, 0.0)
+            mult = construct_multipliers(k, (assign, slack))
             for i in range(k):
                 for j in range(i + 1, k):
                     gap = j - i
-                    c_val = slack.t[i, j] + assign.rhos[i] - assign.rhos[j]
-                    d_val = slack.t[i, j] - 1.0 - assign.rhos[i] + assign.rhos[j]
+                    a = alpha_tilde(gap, k)
+                    lam_mu = (mult.lam[i, j], mult.mu[i, j])
+                    c_val = slack[i, j] + assign.rhos[i] - assign.rhos[j]
+                    d_val = slack[i, j] - 1.0 - assign.rhos[i] + assign.rhos[j]
                     if gap < k / 2:
                         assert abs(c_val) < 1e-12 and d_val < -1e-9
+                        assert lam_mu == (a, 0.0)
                     elif gap > k / 2:
                         assert abs(d_val) < 1e-12 and c_val < -1e-9
+                        assert lam_mu == (0.0, a)
                     else:
                         assert abs(c_val) < 1e-12 and abs(d_val) < 1e-12
+                        assert lam_mu == (a / 2.0, a / 2.0)
 
 
 class TestKKT:
     def test_residual_small_for_all_k(self):
-        for k in range(2, 21):
-            sol = global_solution(k, 0.0)
-            mult = construct_multipliers(k, sol)
-            assert kkt_residual(sol, mult) < 1e-9
+        for k in range(2, 41):
+            for gamma in (0.0, 0.3, 1 / (2 * k)):
+                sol = global_solution(k, gamma)
+                mult = construct_multipliers(k, sol)
+                assert kkt_residual(sol, mult) < 1e-9
 
     def test_two_user_system_cancels_exactly(self):
         sol = global_solution(2, 0.0)
@@ -176,13 +194,20 @@ class TestKKT:
             vec = stationarity_vector(sol, mult)
             assert np.max(np.abs(vec[:k])) < 1e-10       # phase block
             assert np.max(np.abs(vec[k:])) < 1e-10       # slack block
+            # per-pair loop reference for the phase block (summation order differs)
+            ref = np.zeros(k)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    ref[i] += mult.lam[i, j] - mult.mu[i, j]
+                    ref[j] += mult.mu[i, j] - mult.lam[i, j]
+            np.testing.assert_allclose(vec[:k], ref, rtol=0, atol=1e-12)
 
     def test_perturbed_solution_breaks_certificate(self):
         sol = global_solution(6, 0.0)
         mult = construct_multipliers(6, sol)
         rhos = sol[0].rhos.copy()
         rhos[1] += 0.01
-        perturbed = (PhaseAssignment(rhos=rhos, gamma=0.0), sol[1])
+        perturbed = (PhaseAssignment(rhos=rhos), sol[1])
         assert kkt_residual(perturbed, mult) > 1e-4
 
 
@@ -202,6 +227,10 @@ class TestSampling:
         a = verify_optimality_by_sampling(4, 2_000, seed=9)
         b = verify_optimality_by_sampling(4, 2_000, seed=9)
         assert a == b
+        # one sample is the objective of the first sorted draw: one shared pair sum
+        for k in (2, 5, 13):
+            first = np.sort(np.random.default_rng(9).random(k))
+            assert verify_optimality_by_sampling(k, 1, seed=9).best_sampled_objective == objective(first)
 
     def test_near_duplicate_samples_stay_above_optimum(self):
         # duplicates give infinite objectives and cannot undercut the optimum
