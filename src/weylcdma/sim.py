@@ -18,11 +18,13 @@ ratios), and each trial decides exactly one symbol per user.
 Determinism: trials are grouped into fixed-size chunks; chunk c draws from
 its own PCG64 stream derived via SeedSequence(seed, spawn_key=(1, c)).
 Every collector (``run_ber``, ``collect_decision_noise``,
-``simulate_trials``) is one reduce(draw, noise, z) applied to each chunk
+``simulate_trials``) is one reduce(draw, noise, s) applied to each chunk
 inside the chunk's own task, so only the reduced result outlives the
-chunk's arrays.  Results come back in chunk order and are bit-identical
-for a given config whatever WEYLCDMA_THREADS (a positive integer; the pool
-is capped at the chunk count and the CPU count) says.
+chunk's arrays.  s = Z - g does not depend on E/N0: each collector forms
+Z = s + std * noise, and an E/N0 sweep is one pass with one std per point.
+Results come back in chunk order and are bit-identical for a given config
+whatever WEYLCDMA_THREADS (a positive integer; the pool is capped at the
+chunk count and the CPU count) says.
 """
 
 from __future__ import annotations
@@ -296,7 +298,6 @@ class _Engine:
     config: SimConfig
     table: np.ndarray            # (F, F, 2N+1) pairwise correlations
     fixed_sigma: np.ndarray | None
-    noise_std: float
     chunk_size: int
     n_chunks: int
 
@@ -304,8 +305,6 @@ class _Engine:
 def _prepare(config: SimConfig) -> _Engine:
     table = aperiodic_table(build_pool(config))
     fixed = _fixed_assignment(config, table.shape[0])
-    budget = LinkBudget.from_db(config.ebn0_db, config.n_chips, config.n_users)
-    noise_std = math.sqrt(budget.noise_term)
     k = config.n_users
     chunk = int(np.clip(_CHUNK_BUDGET // (k * k), 256, 65536))
     n_chunks = -(-config.trials // chunk)
@@ -313,10 +312,13 @@ def _prepare(config: SimConfig) -> _Engine:
         config=config,
         table=table,
         fixed_sigma=fixed,
-        noise_std=noise_std,
         chunk_size=chunk,
         n_chunks=n_chunks,
     )
+
+
+def _noise_std(config: SimConfig, ebn0_db: float) -> float:
+    return math.sqrt(LinkBudget.from_db(ebn0_db, config.n_chips, config.n_users).noise_term)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -343,11 +345,11 @@ def _simulate_chunk(engine: _Engine, chunk_index: int) -> tuple[TrialDraw, np.nd
     noise = rng.standard_normal((t, k))
 
     if k == 1:
-        z = bits_cur + engine.noise_std * noise
+        s = bits_cur
     else:
         l = np.floor(tau / TC).astype(np.int64)
-        s = (tau - l * TC)[:, None, :]
-        u = TC - s
+        w = (tau - l * TC)[:, None, :]
+        u = TC - w
         ii = sigma[:, :, None]
         kk = sigma[:, None, :]
         base = l[:, None, :] + n  # lag axis offset: index lag + N
@@ -357,15 +359,15 @@ def _simulate_chunk(engine: _Engine, chunk_index: int) -> tuple[TrialDraw, np.nd
         c_l1n = engine.table[ii, kk, base + 1 - n]
         bp = bits_prev[:, None, :]
         bc = bits_cur[:, None, :]
-        a = s * (bp * c_l + bc * c_ln) + u * (bp * c_l1 + bc * c_l1n)
+        a = w * (bp * c_l + bc * c_ln) + u * (bp * c_l1 + bc * c_l1n)
         ph = phi[:, None, :]
         re_i = np.cos(ph) * a.real - np.sin(ph) * a.imag
         idx = np.arange(k)
         re_i[:, idx, idx] = 0.0
-        z = bits_cur + re_i.sum(axis=2) / (n * TC) + engine.noise_std * noise
+        s = bits_cur + re_i.sum(axis=2) / (n * TC)
 
     draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
-    return draw, noise, z
+    return draw, noise, s
 
 
 def _thread_count() -> int:
@@ -380,7 +382,7 @@ def _thread_count() -> int:
 
 
 def _map_chunks(config: SimConfig, reduce) -> list:
-    """reduce(draw, noise, z) of every chunk, in chunk order.
+    """reduce(draw, noise, s) of every chunk, in chunk order.
 
     reduce runs inside the chunk's own task, so only its result outlives
     the chunk's arrays: peak memory is one chunk per worker plus the
@@ -406,7 +408,8 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
     samples before scaling, and the decision statistics.  Intended for
     diagnostics and tests; use ``run_ber`` for large counts.
     """
-    draws, noise, z = zip(*_map_chunks(config, lambda *chunk: chunk))
+    std = _noise_std(config, config.ebn0_db)
+    draws, noise, z = zip(*_map_chunks(config, lambda draw, g, s: (draw, g, s + std * g)))
     draw = TrialDraw(**{
         f.name: np.concatenate([getattr(d, f.name) for d in draws])
         for f in dataclasses.fields(TrialDraw)
@@ -420,8 +423,32 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns (sigma, z_err), both (trials, K); used to compare empirical
     per-slot variances against the analytic interference term.
     """
-    sigma, z_err = zip(*_map_chunks(config, lambda draw, _noise, z: (draw.sigma, z - draw.bits_cur)))
+    std = _noise_std(config, config.ebn0_db)
+    sigma, z_err = zip(*_map_chunks(config, lambda d, g, s: (d.sigma, s + std * g - d.bits_cur)))
     return np.concatenate(sigma), np.concatenate(z_err)
+
+
+def _ber_points(config: SimConfig, ebn0_values) -> list[BERResult]:
+    """``run_ber`` of config at each E/N0 value, from one engine pass.
+
+    Every value is checked before any chunk runs; each chunk reduces to
+    (E, K) error counts, one row per noise std.
+    """
+    stds = [_noise_std(config, v) for v in ebn0_values]
+    if not stds:
+        return []
+
+    def count(draw, g, s):
+        return np.stack([((s + std * g) * draw.bits_cur < 0.0).sum(axis=0) for std in stds])
+
+    bits = config.trials * config.n_users
+    results = []
+    for errors in np.sum(_map_chunks(config, count), axis=0):
+        total = int(errors.sum())
+        lo, hi = wilson_interval(total, bits)
+        results.append(BERResult(per_user_ber=errors / config.trials, mean_ber=total / bits,
+                                 error_count=total, bit_count=bits, wilson_lo=lo, wilson_hi=hi))
+    return results
 
 
 def run_ber(config: SimConfig) -> BERResult:
@@ -430,25 +457,11 @@ def run_ber(config: SimConfig) -> BERResult:
     Deterministic given the config (seed included); an error is counted
     when Z_k * b_{k,0} < 0.
     """
-    errors_per_user = np.sum(
-        _map_chunks(config, lambda draw, _noise, z: ((z * draw.bits_cur) < 0.0).sum(axis=0)),
-        axis=0,
-    )
-    bits = config.trials * config.n_users
-    total = int(errors_per_user.sum())
-    lo, hi = wilson_interval(total, bits)
-    return BERResult(
-        per_user_ber=errors_per_user / config.trials,
-        mean_ber=total / bits,
-        error_count=total,
-        bit_count=bits,
-        wilson_lo=lo,
-        wilson_hi=hi,
-    )
+    return _ber_points(config, [config.ebn0_db])[0]
 
 
 def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
-    """Run the template once per axis value; axis is "users" or "ebn0"."""
+    """Run the template at each axis value: "users" (a run per value) or "ebn0" (one run)."""
     if axis not in ("users", "ebn0"):
         raise ValueError('axis must be "users" or "ebn0"')
     values = list(values)
@@ -456,24 +469,22 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
         fractional = [v for v in values if not float(v).is_integer()]
         if fractional:
             raise ValueError(f"users axis values must be whole numbers, got {fractional}")
-    rows = []
-    for v in values:
-        if axis == "users":
-            cfg = dataclasses.replace(template, n_users=int(v))
-        else:
-            cfg = dataclasses.replace(template, ebn0_db=float(v))
-        res = run_ber(cfg)
-        rows.append(
-            SweepRow(
-                axis_value=float(v),
-                family=cfg.family,
-                policy=cfg.policy,
-                gamma=cfg.gamma,
-                kmax=_slot_count(cfg) if cfg.family in ("weyl", "optimal") else 0,
-                mean_ber=res.mean_ber,
-                wilson_lo=res.wilson_lo,
-                wilson_hi=res.wilson_hi,
-                bits=res.bit_count,
-            )
+        configs = [dataclasses.replace(template, n_users=int(v)) for v in values]
+        results = [run_ber(cfg) for cfg in configs]
+    else:
+        configs = [template] * len(values)
+        results = _ber_points(template, [float(v) for v in values])
+    return [
+        SweepRow(
+            axis_value=float(v),
+            family=cfg.family,
+            policy=cfg.policy,
+            gamma=cfg.gamma,
+            kmax=_slot_count(cfg) if cfg.family in ("weyl", "optimal") else 0,
+            mean_ber=res.mean_ber,
+            wilson_lo=res.wilson_lo,
+            wilson_hi=res.wilson_hi,
+            bits=res.bit_count,
         )
-    return rows
+        for v, cfg, res in zip(values, configs, results)
+    ]

@@ -104,8 +104,8 @@ def expected_weyl_snr(
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0 <= int(sigma_i) < n:
         raise ValueError(f"sigma_i must lie in [0, {n}), got {sigma_i}")
-    if k < 1:
-        raise ValueError("n_users must be >= 1")
+    if not 1 <= k <= n:
+        raise ValueError(f"n_users must lie in [1, n_chips={n}], got {k}")
     if k == 1:
         r_i = 0.0
     else:
@@ -168,8 +168,8 @@ def expected_r_sum_terms(
     second N(N-2)(K-1)/3 * cos(2 pi (gamma + sigma_i/N)).
     """
     k, n = int(n_users), int(n_chips)
-    if k < 2:
-        raise ValueError("n_users must be >= 2")
+    if not 2 <= k <= n:
+        raise ValueError(f"n_users must lie in [2, n_chips={n}], got {k}")
     si = int(sigma_i) % n
     weight = (k - 1) / (n - 1)
     coupling = 0.0

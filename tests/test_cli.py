@@ -1,6 +1,7 @@
 """CLI tests: subcommand output schemas, determinism of emitted rows,
 config-file precedence, and preset behavior."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -122,6 +123,11 @@ class TestSnr:
             )
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and "gamma" in err
+
+    def test_more_users_than_chips_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["snr", "--n", "31", "--k", "40", "--ebn0-db", "10"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "n_users" in err
 
 
 class TestBerSweep:
@@ -254,6 +260,19 @@ class TestPreset:
         assert float(gold_rows[-1][0]) == 31.0
         _, optimal_rows = data_rows(by_name["fig1_optimal.csv"].read_text())
         assert float(optimal_rows[-1][0]) == 31.0  # capacity follows K
+
+    def test_presets_match_pinned_digest(self, tmp_path):
+        # sha256 of the `sha256sum * | sha256sum` listing of fig1..fig4 at 300 trials,
+        # seed 7; a declared change to the CSV bytes updates this pin
+        for name in ("fig1", "fig2", "fig3", "fig4"):
+            run_preset(name, str(tmp_path), trials=300, seed=7)
+        listing = "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+            for path in sorted(tmp_path.iterdir(), key=lambda path: path.name)
+        )
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "0d70206d0992a1143db73b2482427af23da37f5fa15b42dcd428d53c5c2657b4"
+        )
 
     def test_preset_names_cover_figures(self, tmp_path):
         for name in ("fig1", "fig2", "fig3", "fig4"):

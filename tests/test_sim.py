@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from weylcdma import sim
 from weylcdma.correlation import cross_bound, periodic_theta
 from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence
 from weylcdma.sim import (
@@ -352,6 +353,56 @@ class TestSweep:
             with pytest.raises(ValueError, match="whole numbers"):
                 sweep(cfg, "users", values)
         assert [r.axis_value for r in sweep(cfg, "users", [2.0, 3])] == [2.0, 3.0]
+
+    # +inf is noise-free; the repeat must give the same counts twice
+    EBN0_VALUES = [-3.0, 4.0, math.inf, 4.0, 10.0]
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(n_users=5, n_chips=16, ebn0_db=0.0, trials=600, seed=3, gamma=1 / 32, k_max=16),
+        SimConfig(n_users=5, n_chips=16, ebn0_db=0.0, trials=600, seed=3, gamma=1 / 32, k_max=16,
+                  redraw_sigma=False),
+        SimConfig(n_users=4, n_chips=16, ebn0_db=0.0, trials=600, seed=4, family="optimal",
+                  policy="sequential"),
+        SimConfig(n_users=9, n_chips=16, ebn0_db=0.0, trials=600, seed=5, policy="vdc", k_max=16),
+        SimConfig(n_users=6, n_chips=31, ebn0_db=0.0, trials=600, seed=6, family="optimal",
+                  gamma=1 / 12),
+        SimConfig(n_users=1, n_chips=31, ebn0_db=0.0, trials=3000, seed=7),
+    ], ids=["random", "fixed-sigma", "sequential", "vdc", "optimal", "single-user"])
+    def test_ebn0_axis_matches_run_ber_per_value(self, cfg):
+        self.assert_one_pass_matches_per_value(cfg, self.EBN0_VALUES)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ebn0_axis_matches_run_ber_across_chunks(self, monkeypatch, threads):
+        monkeypatch.setenv("WEYLCDMA_THREADS", threads)
+        self.assert_one_pass_matches_per_value(MULTI_CHUNK, [2.0, 8.0, 8.0])
+
+    @staticmethod
+    def assert_one_pass_matches_per_value(cfg, values):
+        points = sim._ber_points(cfg, values)
+        rows = sweep(cfg, "ebn0", values)
+        assert len(points) == len(rows) == len(values)
+        for v, point, row in zip(values, points, rows):
+            ref = run_ber(dataclasses.replace(cfg, ebn0_db=v))
+            assert point.error_count == ref.error_count
+            np.testing.assert_array_equal(point.per_user_ber, ref.per_user_ber)
+            assert point.wilson_95_interval == ref.wilson_95_interval
+            assert (row.axis_value, row.mean_ber, row.wilson_lo, row.wilson_hi, row.bits) == (
+                v, ref.mean_ber, ref.wilson_lo, ref.wilson_hi, ref.bit_count
+            )
+
+    def test_bad_ebn0_value_fails_before_simulating(self, monkeypatch):
+        calls = []
+        simulate_chunk = sim._simulate_chunk
+        monkeypatch.setattr(sim, "_simulate_chunk",
+                            lambda *args: calls.append(args) or simulate_chunk(*args))
+        cfg = SimConfig(n_users=3, n_chips=16, ebn0_db=10.0, trials=50, seed=0, k_max=16)
+        for values in ([0.0, math.nan], [0.0, 4000.0]):
+            with pytest.raises(ValueError, match="ebn0_db"):
+                sweep(cfg, "ebn0", values)
+        assert sweep(cfg, "ebn0", []) == []
+        assert calls == []
+        sweep(cfg, "ebn0", [0.0])
+        assert len(calls) == 1  # the counter does see a real pass
 
     def test_rejects_unknown_axis(self):
         cfg = SimConfig(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,

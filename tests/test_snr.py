@@ -104,6 +104,14 @@ class TestExpectedRSum:
             expected = n * (n - 2) * (k - 1) / 3.0 * math.cos(2 * math.pi * (gamma + si / n))
             assert cosine == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
+    def test_rejects_more_users_than_slots(self):
+        # the (K-1)/(N-1) slot weight assumes K distinct slots out of N
+        for k in (1, 32, 40):
+            with pytest.raises(ValueError, match="n_users"):
+                expected_r_sum_terms(0, 0.0, k, 31)
+        with pytest.raises(ValueError, match="n_users"):
+            expected_r_sum(0, 0.0, 32, 31)
+
     def test_total_consistent_with_interference_variance(self):
         k, n, si, gamma = 31, 31, 7, 1 / 62
         budget = LinkBudget.from_db(25.0, n, k)
@@ -133,6 +141,14 @@ class TestExpectedWeylSnr:
         budget = LinkBudget.from_db(12.0, 31, 1)
         expected = math.sqrt(2.0 * budget.e_over_n0)
         assert expected_weyl_snr(5, 0.1, 1, 31, budget) == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_more_users_than_slots(self):
+        for k in (0, 32, 40):
+            budget = LinkBudget.from_db(10.0, 31, max(k, 1))
+            with pytest.raises(ValueError, match="n_users"):
+                expected_weyl_snr(0, 0.0, k, 31, budget)
+        budget = LinkBudget.from_db(10.0, 31, 31)
+        assert expected_weyl_snr(0, 0.0, 31, 31, budget) > 0  # K = N is the exact case
 
     def test_lower_bound_dominated_everywhere(self):
         n, k = 31, 20
