@@ -33,6 +33,7 @@ __all__ = [
     "cross_bound",
     "r_ik",
     "aperiodic_table",
+    "theta_pairs",
     "correlation_profile",
 ]
 
@@ -160,10 +161,7 @@ def aperiodic_table(family) -> np.ndarray:
     Returns an (F, F, 2N+1) complex array T with T[i, k, lag + N] =
     C_{i,k}(lag) for lag in [-N, N]; the lag = +-N planes are zero.
     """
-    if isinstance(family, np.ndarray) and family.ndim == 2:
-        x = np.asarray(family, dtype=np.complex128)
-    else:
-        x = np.vstack([_chips(s) for s in family])
+    x = np.vstack([_chips(s) for s in family])
     f, n = x.shape
     table = np.zeros((f, f, 2 * n + 1), dtype=np.complex128)
     xc = np.conj(x)
@@ -172,6 +170,20 @@ def aperiodic_table(family) -> np.ndarray:
         if l:
             table[:, :, n - l] = xc[:, : n - l] @ x[:, l:].T
     return table
+
+
+def theta_pairs(table: np.ndarray) -> np.ndarray:
+    """Adjacent-lag theta/theta_hat pairs of an ``aperiodic_table`` layout.
+
+    Takes a (..., 2N+1) lag table and returns (..., 2, N, 2) with
+    [..., s, l, :] = (Theta_s(l), Theta_s(l+1)) for l = 0..N-1, where
+    Theta_0 = theta and Theta_1 = theta_hat; the l+1 = N entries are
+    theta(N) = theta(0) and theta_hat(N) = -theta_hat(0).
+    """
+    n = table.shape[-1] // 2
+    current, previous = table[..., n:], table[..., : n + 1]  # C(l), C(l - N) for l = 0..N
+    both = np.stack([current + previous, current - previous], axis=-2)
+    return np.stack([both[..., :-1], both[..., 1:]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -193,10 +205,10 @@ def correlation_profile(x, y) -> CorrelationProfile:
     a, b = _pair(x, y)
     n = a.size
     c = _lag_vector(a, b)
-    current, previous = c[n:-1], c[:n]  # C(l) and C(l - N) for l = 0..N-1
+    theta, theta_hat = theta_pairs(c)[..., 0]
     return CorrelationProfile(
         lags=np.arange(1 - n, n),
         c_values=c[1:-1],
-        theta=current + previous,
-        theta_hat=current - previous,
+        theta=theta,
+        theta_hat=theta_hat,
     )

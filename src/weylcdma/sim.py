@@ -7,8 +7,10 @@ demodulated as the coherent reference: its decision statistic is
 
     Z_i = b_{i,0} + (1/(N*Tc)) * sum_{k != i} Re[I_{i,k}(tau_k)] + g,
 
-with I the two-lag partial-correlation interference term and g Gaussian
-with standard deviation sqrt(N0/2E).  With this normalization the variance
+with g Gaussian of standard deviation sqrt(N0/2E) and I the two-lag
+interference term, whose crosscorrelation the kernel selects by symbol
+transition: theta(l) = C(l) + C(l-N) if user k's symbol repeats, theta_hat(l)
+= C(l) - C(l-N) if it flips.  With this normalization the variance
 of Z_i - b_{i,0} equals sum_k r_ik/(6 N^3) + N0/2E, so the analytic SNR is
 the literal inverse coefficient of variation of Z.
 
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weylcdma.correlation import aperiodic_c, aperiodic_table
+from weylcdma.correlation import aperiodic_c, aperiodic_table, theta_pairs
 from weylcdma.sequences import (
     AssignmentPolicy,
     OptimalWeylParams,
@@ -293,51 +295,21 @@ def decision_statistic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Engine:
-    config: SimConfig
-    table: np.ndarray            # (F, F, 2N+1) pairwise correlations
-    fixed_sigma: np.ndarray | None
-    chunk_size: int
-    n_chunks: int
-
-
-def _prepare(config: SimConfig) -> _Engine:
-    table = aperiodic_table(build_pool(config))
-    fixed = _fixed_assignment(config, table.shape[0])
-    k = config.n_users
-    chunk = int(np.clip(_CHUNK_BUDGET // (k * k), 256, 65536))
-    n_chunks = -(-config.trials // chunk)
-    return _Engine(
-        config=config,
-        table=table,
-        fixed_sigma=fixed,
-        chunk_size=chunk,
-        n_chunks=n_chunks,
-    )
-
-
 def _noise_std(config: SimConfig, ebn0_db: float) -> float:
     return math.sqrt(LinkBudget.from_db(ebn0_db, config.n_chips, config.n_users).noise_term)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, chunk_index)))
+def _simulate_chunk(config: SimConfig, theta: np.ndarray, fixed_sigma: np.ndarray | None,
+                    chunk_index: int, t: int) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
+    k = config.n_users
+    n = config.n_chips
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, chunk_index)))
 
-
-def _simulate_chunk(engine: _Engine, chunk_index: int) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
-    cfg = engine.config
-    k = cfg.n_users
-    n = cfg.n_chips
-    start = chunk_index * engine.chunk_size
-    t = min(engine.chunk_size, cfg.trials - start)
-    rng = _chunk_rng(cfg.seed, chunk_index)
-
-    if engine.fixed_sigma is None:
-        keys = rng.random((t, engine.table.shape[0]))
+    if fixed_sigma is None:
+        keys = rng.random((t, theta.shape[0]))
         sigma = np.argsort(keys, axis=1)[:, :k].astype(np.int64)
     else:
-        sigma = np.broadcast_to(engine.fixed_sigma, (t, k)).copy()
+        sigma = np.broadcast_to(fixed_sigma, (t, k)).copy()
     tau = rng.random((t, k)) * (n * TC)
     phi = rng.random((t, k)) * (2.0 * np.pi)
     bits_prev = rng.integers(0, 2, size=(t, k)).astype(np.float64) * 2.0 - 1.0
@@ -349,17 +321,9 @@ def _simulate_chunk(engine: _Engine, chunk_index: int) -> tuple[TrialDraw, np.nd
     else:
         l = np.floor(tau / TC).astype(np.int64)
         w = (tau - l * TC)[:, None, :]
-        u = TC - w
-        ii = sigma[:, :, None]
-        kk = sigma[:, None, :]
-        base = l[:, None, :] + n  # lag axis offset: index lag + N
-        c_l = engine.table[ii, kk, base]
-        c_ln = engine.table[ii, kk, base - n]
-        c_l1 = engine.table[ii, kk, base + 1]
-        c_l1n = engine.table[ii, kk, base + 1 - n]
-        bp = bits_prev[:, None, :]
-        bc = bits_cur[:, None, :]
-        a = w * (bp * c_l + bc * c_ln) + u * (bp * c_l1 + bc * c_l1n)
+        flip = (bits_prev != bits_cur).astype(np.int64)  # an index, not a mask
+        pair = theta[sigma[:, :, None], sigma[:, None, :], flip[:, None, :], l[:, None, :]]
+        a = bits_prev[:, None, :] * (w * pair[..., 0] + (TC - w) * pair[..., 1])
         ph = phi[:, None, :]
         re_i = np.cos(ph) * a.real - np.sin(ph) * a.imag
         idx = np.arange(k)
@@ -389,16 +353,20 @@ def _map_chunks(config: SimConfig, reduce) -> list:
     reduced results, whatever the trial count.
     """
     threads = _thread_count()
-    engine = _prepare(config)
-    workers = min(threads, engine.n_chunks, os.cpu_count() or 1)
+    theta = theta_pairs(aperiodic_table(build_pool(config)))  # (F, F, 2, N, 2)
+    fixed = _fixed_assignment(config, theta.shape[0])
+    chunk = int(np.clip(_CHUNK_BUDGET // config.n_users**2, 256, 65536))
+    n_chunks = -(-config.trials // chunk)
+    workers = min(threads, n_chunks, os.cpu_count() or 1)
 
     def run(c: int):
-        return reduce(*_simulate_chunk(engine, c))
+        t = min(chunk, config.trials - c * chunk)
+        return reduce(*_simulate_chunk(config, theta, fixed, c, t))
 
     if workers == 1:
-        return [run(c) for c in range(engine.n_chunks)]
+        return [run(c) for c in range(n_chunks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(engine.n_chunks)))
+        return list(pool.map(run, range(n_chunks)))
 
 
 def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
@@ -470,6 +438,8 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
         if fractional:
             raise ValueError(f"users axis values must be whole numbers, got {fractional}")
         configs = [dataclasses.replace(template, n_users=int(v)) for v in values]
+        for cfg in configs:  # every K is checked before any is simulated
+            _validate(cfg)
         results = [run_ber(cfg) for cfg in configs]
     else:
         configs = [template] * len(values)

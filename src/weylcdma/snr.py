@@ -115,10 +115,10 @@ def expected_weyl_snr(
 
 
 def snr_lower_bound(n_users: int, n_chips: int, budget: LinkBudget) -> float:
-    """Worst-slot SNR bound {(K-1)/(6N) + N0/2E}^(-1/2)."""
+    """Worst-slot SNR bound {(K-1)/(6N) + N0/2E}^(-1/2) for K distinct slots out of N."""
     k, n = int(n_users), int(n_chips)
-    if k < 1:
-        raise ValueError("n_users must be >= 1")
+    if not 1 <= k <= n:
+        raise ValueError(f"n_users must lie in [1, n_chips={n}], got {k}")
     return ((k - 1) / (6.0 * n) + budget.noise_term) ** -0.5
 
 

@@ -15,12 +15,14 @@ from weylcdma.correlation import (
     odd_theta_hat,
     periodic_theta,
     r_ik,
+    theta_pairs,
     weyl_c_closed_form,
 )
 from weylcdma.sequences import (
     OptimalWeylParams,
     WeylParams,
     gold_code,
+    gold_family,
     optimal_weyl_sequence,
     weyl_sequence,
 )
@@ -266,3 +268,22 @@ class TestTableAndProfile:
         for lag in range(n):
             assert prof.theta[lag] == pytest.approx(periodic_theta(x, y, lag), abs=1e-12)
             assert prof.theta_hat[lag] == pytest.approx(odd_theta_hat(x, y, lag), abs=1e-12)
+
+    @pytest.mark.parametrize("pool", [
+        [s.chips for s in gold_family(5)],
+        [optimal_weyl_sequence(OptimalWeylParams(1 / 32, s, 16, 16)).chips for s in range(16)],
+    ], ids=["gold", "weyl16"])
+    def test_theta_pairs_match_scalar_oracles(self, pool):
+        n = len(pool[0])
+        pairs = theta_pairs(aperiodic_table(pool))
+        assert pairs.shape == (len(pool), len(pool), 2, n, 2)
+        for i, x in enumerate(pool):
+            for k, y in enumerate(pool):
+                theta = [periodic_theta(x, y, lag) for lag in range(n)]
+                theta_hat = [odd_theta_hat(x, y, lag) for lag in range(n)]
+                # Theta(N) wraps: theta(N) = theta(0), theta_hat(N) = -theta_hat(0)
+                wrapped = (theta + theta[:1], theta_hat + [-theta_hat[0]])
+                for s, values in enumerate(wrapped):
+                    got = pairs[i, k, s]
+                    np.testing.assert_allclose(got[:, 0], values[:-1], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got[:, 1], values[1:], rtol=0, atol=1e-12)

@@ -192,10 +192,12 @@ class TestEngineConsistency:
             draws, noise, zs = simulate_trials(cfg)
             pool = build_pool(cfg)
             budget = LinkBudget.from_db(20.0, n, 4)
-            draw = trial_row(draws, 0)
-            seqs = [pool[m] for m in draw.sigma]
-            z = decision_statistic(2, draw, seqs, budget, float(noise[0, 2]))
-            assert z == pytest.approx(float(zs[0, 2]), abs=1e-12)
+            for t in range(cfg.trials):
+                draw = trial_row(draws, t)
+                seqs = [pool[m] for m in draw.sigma]
+                for i in range(cfg.n_users):
+                    z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
+                    assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
 
     def test_distinct_sigma_within_each_trial(self):
         cfg = SimConfig(n_users=6, n_chips=8, ebn0_db=15.0, trials=300, seed=8,
@@ -403,6 +405,16 @@ class TestSweep:
         assert calls == []
         sweep(cfg, "ebn0", [0.0])
         assert len(calls) == 1  # the counter does see a real pass
+
+    def test_bad_users_value_fails_before_simulating(self, monkeypatch):
+        calls = []
+        simulate_chunk = sim._simulate_chunk
+        monkeypatch.setattr(sim, "_simulate_chunk",
+                            lambda *args: calls.append(args) or simulate_chunk(*args))
+        cfg = SimConfig(n_users=2, n_chips=31, ebn0_db=25.0, trials=20000, seed=1, k_max=31)
+        with pytest.raises(ValueError, match="n_users=40 exceeds the weyl family capacity 31"):
+            sweep(cfg, "users", [2, 8, 40])
+        assert calls == []
 
     def test_rejects_unknown_axis(self):
         cfg = SimConfig(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,

@@ -175,6 +175,13 @@ class TestSnrLowerBound:
         values = [snr_lower_bound(k, 31, budget) for k in range(1, 32)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_rejects_more_users_than_slots(self):
+        # the (K-1)/(6N) worst-slot term assumes K distinct slots out of N
+        for k in (0, 32, 40):
+            budget = LinkBudget.from_db(10.0, 31, max(k, 1))
+            with pytest.raises(ValueError, match=r"n_users must lie in \[1, n_chips=31\]"):
+                snr_lower_bound(k, 31, budget)
+
 
 class TestPursleySnr:
     def test_single_user_is_noise_only(self):
