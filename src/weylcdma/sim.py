@@ -10,23 +10,24 @@ demodulated as the coherent reference: its decision statistic is
 with g Gaussian of standard deviation sqrt(N0/2E) and I the two-lag
 interference term, whose crosscorrelation the kernel selects by symbol
 transition: theta(l) = C(l) + C(l-N) if user k's symbol repeats, theta_hat(l)
-= C(l) - C(l-N) if it flips.  With this normalization the variance
-of Z_i - b_{i,0} equals sum_k r_ik/(6 N^3) + N0/2E, so the analytic SNR is
-the literal inverse coefficient of variation of Z.
+= C(l) - C(l-N) if it flips; one real table row holds [Re, Im] of it at
+l and l+1.  With this normalization the variance of Z_i - b_{i,0} equals
+sum_k r_ik/(6 N^3) + N0/2E, so the analytic SNR is the literal inverse
+coefficient of variation of Z.
 
 Chip duration Tc is normalized to 1 (all BER-relevant quantities are
 ratios), and each trial decides exactly one symbol per user.
 
-Determinism: trials are grouped into fixed-size chunks; chunk c draws from
-its own PCG64 stream derived via SeedSequence(seed, spawn_key=(1, c)).
-Every collector (``run_ber``, ``collect_decision_noise``,
-``simulate_trials``) is one reduce(draw, noise, s) applied to each chunk
-inside the chunk's own task, so only the reduced result outlives the
-chunk's arrays.  s = Z - g does not depend on E/N0: each collector forms
-Z = s + std * noise, and an E/N0 sweep is one pass with one std per point.
-Results come back in chunk order and are bit-identical for a given config
-whatever WEYLCDMA_THREADS (a positive integer; the pool is capped at the
-chunk count and the CPU count) says.
+Determinism: block b of ``_BLOCK`` trials draws each quantity q from its
+own PCG64 stream, SeedSequence(seed, spawn_key=(1, b, q)), filled
+user-major, so K users draw the first K columns of any wider draw.  A
+chunk is a run of whole blocks, one reduce(draw, noise, mai) each, run in
+the chunk's own task; results are bit-identical whatever the chunk size
+or WEYLCDMA_THREADS (a positive integer; the pool is capped at the chunk
+count and the CPU count).  mai[:, i, j] sums the MAI on user i from users
+0..j, so users 0..K-1 see Z - g = b + mai[:, :K, K-1], which does not
+depend on E/N0: an E/N0 sweep is one pass, and a users sweep one pass at
+its largest K per slot pool, whose points share trials.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
 TC = 1.0  # chip duration; the symbol duration is T = N * TC
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+_BLOCK = 1024  # trials per RNG block: part of the random-number layout
 _CHUNK_BUDGET = 1_000_000  # target elements per (T, K, K) work array
 _THREADS_ENV = "WEYLCDMA_THREADS"
 
@@ -219,6 +221,8 @@ def _validate(config: SimConfig) -> None:
         raise ValueError("trials must be >= 1")
     if config.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if not math.isfinite(config.gamma):
+        raise ValueError(f"gamma must be finite, got {config.gamma}")
     policy = AssignmentPolicy(config.policy)
     capacity = family_capacity(config)
     if policy is AssignmentPolicy.VAN_DER_CORPUT and (
@@ -295,43 +299,57 @@ def decision_statistic(
 # ---------------------------------------------------------------------------
 
 
-def _noise_std(config: SimConfig, ebn0_db: float) -> float:
-    return math.sqrt(LinkBudget.from_db(ebn0_db, config.n_chips, config.n_users).noise_term)
+def _noise_std(config: SimConfig) -> float:
+    return math.sqrt(LinkBudget.from_db(config.ebn0_db, config.n_chips, config.n_users).noise_term)
 
 
-def _simulate_chunk(config: SimConfig, theta: np.ndarray, fixed_sigma: np.ndarray | None,
-                    chunk_index: int, t: int) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
-    k = config.n_users
-    n = config.n_chips
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, chunk_index)))
-
+def _draw_block(config: SimConfig, pool_size: int, fixed_sigma: np.ndarray | None,
+                block: int) -> tuple[np.ndarray, ...]:
+    """(tau, phi, bits_prev, bits_cur, sigma, noise) of one trial block, each (t, K)."""
+    k, n = config.n_users, config.n_chips
+    t = min(_BLOCK, config.trials - block * _BLOCK)
+    keys, tau, phi, prev, cur, noise = map(
+        np.random.default_rng, np.random.SeedSequence(config.seed, spawn_key=(1, block)).spawn(6))
     if fixed_sigma is None:
-        keys = rng.random((t, theta.shape[0]))
-        sigma = np.argsort(keys, axis=1)[:, :k].astype(np.int64)
+        sigma = np.argsort(keys.random((pool_size, t)).T, axis=1)[:, :k]
     else:
-        sigma = np.broadcast_to(fixed_sigma, (t, k)).copy()
-    tau = rng.random((t, k)) * (n * TC)
-    phi = rng.random((t, k)) * (2.0 * np.pi)
-    bits_prev = rng.integers(0, 2, size=(t, k)).astype(np.float64) * 2.0 - 1.0
-    bits_cur = rng.integers(0, 2, size=(t, k)).astype(np.float64) * 2.0 - 1.0
-    noise = rng.standard_normal((t, k))
+        sigma = np.broadcast_to(fixed_sigma, (t, k))
+    return (
+        tau.random((k, t)).T * (n * TC),
+        phi.random((k, t)).T * (2.0 * np.pi),
+        prev.integers(0, 2, size=(k, t)).T * 2.0 - 1.0,
+        cur.integers(0, 2, size=(k, t)).T * 2.0 - 1.0,
+        sigma,
+        noise.standard_normal((k, t)).T,
+    )
 
-    if k == 1:
-        s = bits_cur
-    else:
-        l = np.floor(tau / TC).astype(np.int64)
-        w = (tau - l * TC)[:, None, :]
-        flip = (bits_prev != bits_cur).astype(np.int64)  # an index, not a mask
-        pair = theta[sigma[:, :, None], sigma[:, None, :], flip[:, None, :], l[:, None, :]]
-        a = bits_prev[:, None, :] * (w * pair[..., 0] + (TC - w) * pair[..., 1])
-        ph = phi[:, None, :]
-        re_i = np.cos(ph) * a.real - np.sin(ph) * a.imag
-        idx = np.arange(k)
-        re_i[:, idx, idx] = 0.0
-        s = bits_cur + re_i.sum(axis=2) / (n * TC)
 
+def _simulate_chunk(config: SimConfig, table: np.ndarray, pool_size: int,
+                    fixed_sigma: np.ndarray | None,
+                    blocks: range) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
+    """Draws, unit-variance noise and cumulative MAI / (N*Tc) of a run of trial blocks.
+
+    Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
+    of Theta(l) and Theta(l+1).
+    """
+    tau, phi, bits_prev, bits_cur, sigma, noise = (
+        np.concatenate(parts)
+        for parts in zip(*(_draw_block(config, pool_size, fixed_sigma, b) for b in blocks))
+    )
+    k, n = config.n_users, config.n_chips
+    l = np.floor(tau / TC).astype(np.int64)
+    w = tau - l * TC
+    row = sigma * (pool_size * 2 * n)
+    col = (sigma * 2 + (bits_prev != bits_cur)) * n + l
+    pair = np.take(table, row[:, :, None] + col[:, None, :], axis=0)  # (T, K, K, 4)
+    # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
+    cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
+    weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
+    mai = np.einsum("tikj,tkj->tik", pair, weights)
+    mai[:, np.arange(k), np.arange(k)] = 0.0
+    np.cumsum(mai, axis=2, out=mai)
     draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
-    return draw, noise, s
+    return draw, noise, mai
 
 
 def _thread_count() -> int:
@@ -346,27 +364,29 @@ def _thread_count() -> int:
 
 
 def _map_chunks(config: SimConfig, reduce) -> list:
-    """reduce(draw, noise, s) of every chunk, in chunk order.
+    """reduce(draw, noise, mai) of every chunk, in chunk order.
 
+    A chunk's (T, K, K) arrays hold about ``_CHUNK_BUDGET`` elements.
     reduce runs inside the chunk's own task, so only its result outlives
     the chunk's arrays: peak memory is one chunk per worker plus the
     reduced results, whatever the trial count.
     """
     threads = _thread_count()
-    theta = theta_pairs(aperiodic_table(build_pool(config)))  # (F, F, 2, N, 2)
-    fixed = _fixed_assignment(config, theta.shape[0])
-    chunk = int(np.clip(_CHUNK_BUDGET // config.n_users**2, 256, 65536))
-    n_chunks = -(-config.trials // chunk)
-    workers = min(threads, n_chunks, os.cpu_count() or 1)
+    pool = build_pool(config)
+    table = theta_pairs(aperiodic_table(pool)).view(np.float64).reshape(-1, 4)
+    fixed = _fixed_assignment(config, len(pool))
+    per_chunk = int(np.clip(_CHUNK_BUDGET // (config.n_users**2 * _BLOCK), 1, 64))
+    n_blocks = -(-config.trials // _BLOCK)
+    chunks = [range(b, min(b + per_chunk, n_blocks)) for b in range(0, n_blocks, per_chunk)]
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
 
-    def run(c: int):
-        t = min(chunk, config.trials - c * chunk)
-        return reduce(*_simulate_chunk(config, theta, fixed, c, t))
+    def run(blocks: range):
+        return reduce(*_simulate_chunk(config, table, len(pool), fixed, blocks))
 
     if workers == 1:
-        return [run(c) for c in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n_chunks)))
+        return [run(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(run, chunks))
 
 
 def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
@@ -376,8 +396,9 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
     samples before scaling, and the decision statistics.  Intended for
     diagnostics and tests; use ``run_ber`` for large counts.
     """
-    std = _noise_std(config, config.ebn0_db)
-    draws, noise, z = zip(*_map_chunks(config, lambda draw, g, s: (draw, g, s + std * g)))
+    std = _noise_std(config)
+    draws, noise, z = zip(*_map_chunks(
+        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[..., -1] + std * g)))
     draw = TrialDraw(**{
         f.name: np.concatenate([getattr(d, f.name) for d in draws])
         for f in dataclasses.fields(TrialDraw)
@@ -391,30 +412,40 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns (sigma, z_err), both (trials, K); used to compare empirical
     per-slot variances against the analytic interference term.
     """
-    std = _noise_std(config, config.ebn0_db)
-    sigma, z_err = zip(*_map_chunks(config, lambda d, g, s: (d.sigma, s + std * g - d.bits_cur)))
+    std = _noise_std(config)
+    sigma, z_err = zip(*_map_chunks(
+        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[..., -1] + std * g) - d.bits_cur)))
     return np.concatenate(sigma), np.concatenate(z_err)
 
 
-def _ber_points(config: SimConfig, ebn0_values) -> list[BERResult]:
-    """``run_ber`` of config at each E/N0 value, from one engine pass.
+def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
+    """``run_ber`` of each config; the configs differ only in n_users and ebn0_db.
 
-    Every value is checked before any chunk runs; each chunk reduces to
-    (E, K) error counts, one row per noise std.
+    Every config is checked before any chunk runs.  Configs with one pool
+    share a pass at their largest K; each counts errors in its first K
+    columns.
     """
-    stds = [_noise_std(config, v) for v in ebn0_values]
-    if not stds:
-        return []
+    ks, stds = [cfg.n_users for cfg in configs], [_noise_std(cfg) for cfg in configs]
+    passes: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        _validate(cfg)
+        pool_key = (dataclasses.replace(cfg, n_users=1, ebn0_db=0.0), family_capacity(cfg))
+        passes.setdefault(pool_key, []).append(i)
+    errors = {}
+    for members in passes.values():
 
-    def count(draw, g, s):
-        return np.stack([((s + std * g) * draw.bits_cur < 0.0).sum(axis=0) for std in stds])
+        def count(draw, g, mai, members=members):
+            s = {k: draw.bits_cur[:, :k] + mai[:, :k, k - 1] for k in {ks[i] for i in members}}
+            return [((s[ks[i]] + stds[i] * g[:, :ks[i]]) * draw.bits_cur[:, :ks[i]] < 0.0).sum(0)
+                    for i in members]
 
-    bits = config.trials * config.n_users
+        width = dataclasses.replace(configs[members[0]], n_users=max(ks[i] for i in members))
+        errors.update(zip(members, map(sum, zip(*_map_chunks(width, count)))))
     results = []
-    for errors in np.sum(_map_chunks(config, count), axis=0):
-        total = int(errors.sum())
+    for i, cfg in enumerate(configs):
+        bits, total = cfg.trials * ks[i], int(errors[i].sum())
         lo, hi = wilson_interval(total, bits)
-        results.append(BERResult(per_user_ber=errors / config.trials, mean_ber=total / bits,
+        results.append(BERResult(per_user_ber=errors[i] / cfg.trials, mean_ber=total / bits,
                                  error_count=total, bit_count=bits, wilson_lo=lo, wilson_hi=hi))
     return results
 
@@ -425,11 +456,14 @@ def run_ber(config: SimConfig) -> BERResult:
     Deterministic given the config (seed included); an error is counted
     when Z_k * b_{k,0} < 0.
     """
-    return _ber_points(config, [config.ebn0_db])[0]
+    return _ber_points([config])[0]
 
 
 def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
-    """Run the template at each axis value: "users" (a run per value) or "ebn0" (one run)."""
+    """Run the template at each axis value ("users" or "ebn0"), checking every value first.
+
+    One engine pass per slot pool, so one per K only for "optimal" without k_max.
+    """
     if axis not in ("users", "ebn0"):
         raise ValueError('axis must be "users" or "ebn0"')
     values = list(values)
@@ -438,12 +472,8 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
         if fractional:
             raise ValueError(f"users axis values must be whole numbers, got {fractional}")
         configs = [dataclasses.replace(template, n_users=int(v)) for v in values]
-        for cfg in configs:  # every K is checked before any is simulated
-            _validate(cfg)
-        results = [run_ber(cfg) for cfg in configs]
     else:
-        configs = [template] * len(values)
-        results = _ber_points(template, [float(v) for v in values])
+        configs = [dataclasses.replace(template, ebn0_db=float(v)) for v in values]
     return [
         SweepRow(
             axis_value=float(v),
@@ -456,5 +486,5 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
             wilson_hi=res.wilson_hi,
             bits=res.bit_count,
         )
-        for v, cfg, res in zip(values, configs, results)
+        for v, cfg, res in zip(values, configs, _ber_points(configs))
     ]

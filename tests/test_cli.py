@@ -223,6 +223,14 @@ class TestBerSweep:
             assert code == 1 and out == ""
             assert "ebn0_db" in err
 
+    def test_nonfinite_gamma_rejected(self, capsys):
+        for axis in ("users", "ebn0"):
+            for gamma in ("nan", "inf", "-inf"):
+                code, out, err = run_cli(capsys, ["ber-sweep", "--axis", axis, "--values", "2",
+                                                  f"--gamma={gamma}"])
+                assert code == 1 and out == ""
+                assert err.count("\n") == 1 and "gamma must be finite" in err
+
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run_cli(capsys, self.ARGS + ["--out", str(out_path)])
@@ -271,7 +279,7 @@ class TestPreset:
             for path in sorted(tmp_path.iterdir(), key=lambda path: path.name)
         )
         assert hashlib.sha256(listing.encode()).hexdigest() == (
-            "0d70206d0992a1143db73b2482427af23da37f5fa15b42dcd428d53c5c2657b4"
+            "3af357c1b1507b1b10c4a4b5c85f420ef27ea1e7d6ff879d6dbae37c07def5fa"
         )
 
     def test_preset_names_cover_figures(self, tmp_path):

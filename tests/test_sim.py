@@ -43,9 +43,27 @@ def trial_row(draws, t):
     return TrialDraw(**{name: value[t] for name, value in vars(draws).items()})
 
 
-# K = 31 gives 1040-trial chunks, so 2500 trials span three chunks
+# K = 31 gives one-block (1024-trial) chunks, so 2500 trials span three chunks
 MULTI_CHUNK = SimConfig(n_users=31, n_chips=31, ebn0_db=8.0, trials=2500, seed=5,
                         family="weyl", gamma=1 / 62, k_max=31)
+
+
+def assert_sweep_matches_run_ber(cfg, axis, values):
+    """sweep rows and _ber_points equal a separate run_ber per value, bit for bit."""
+    field = "n_users" if axis == "users" else "ebn0_db"
+    configs = [dataclasses.replace(cfg, **{field: v}) for v in values]
+    points = sim._ber_points(configs)
+    rows = sweep(cfg, axis, values)
+    assert len(points) == len(rows) == len(values)
+    for v, config, point, row in zip(values, configs, points, rows):
+        ref = run_ber(config)
+        assert point.error_count == ref.error_count
+        np.testing.assert_array_equal(point.per_user_ber, ref.per_user_ber)
+        assert point.wilson_95_interval == ref.wilson_95_interval
+        assert (row.axis_value, row.mean_ber, row.wilson_lo, row.wilson_hi, row.bits) == (
+            v, ref.mean_ber, ref.wilson_lo, ref.wilson_hi, ref.bit_count
+        )
+    return points
 
 
 def slot_family(gamma, n, slots):
@@ -199,6 +217,14 @@ class TestEngineConsistency:
                     z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
                     assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["weyl", "gold", "optimal"])
+    def test_single_user_statistic_is_bits_plus_noise(self, family):
+        # K = 1 has no interferer: Z is exactly b + std * g, with zero MAI
+        cfg = SimConfig(n_users=1, n_chips=31, ebn0_db=3.0, trials=2100, seed=17, family=family)
+        draws, noise, zs = simulate_trials(cfg)
+        std = math.sqrt(LinkBudget.from_db(3.0, 31, 1).noise_term)
+        np.testing.assert_array_equal(zs, draws.bits_cur + std * noise)
+
     def test_distinct_sigma_within_each_trial(self):
         cfg = SimConfig(n_users=6, n_chips=8, ebn0_db=15.0, trials=300, seed=8,
                         family="weyl", k_max=8)
@@ -283,6 +309,67 @@ class TestThreads:
         cfg = SimConfig(n_users=2, n_chips=8, ebn0_db=10.0, trials=10, seed=0)
         with pytest.raises(ValueError, match="WEYLCDMA_THREADS"):
             run_ber(cfg)
+
+
+@pytest.fixture(params=[("1", None), ("2", None), ("1", 100_000), ("2", 100_000)],
+                ids=["1-thread", "2-threads", "1-thread-small-chunks", "2-threads-small-chunks"])
+def engine_layout(request, monkeypatch):
+    """Thread count and chunk budget; a budget of 100,000 gives chunks of one or two blocks."""
+    threads, budget = request.param
+    monkeypatch.setenv("WEYLCDMA_THREADS", threads)
+    if budget is not None:
+        monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
+
+
+# 2100 trials: three blocks, the last one partial
+PREFIX_BASE = SimConfig(n_users=1, n_chips=16, ebn0_db=6.0, trials=2100, seed=23,
+                        gamma=1 / 32, k_max=16)
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("overrides", [
+        dict(policy="random"),
+        dict(policy="random", redraw_sigma=False),
+        dict(policy="sequential"),
+        dict(policy="vdc"),
+    ], ids=["random", "fixed-sigma", "sequential", "vdc"])
+    def test_draws_are_column_prefixes(self, engine_layout, overrides):
+        wide_draw, wide_noise, _ = simulate_trials(
+            dataclasses.replace(PREFIX_BASE, n_users=11, **overrides))
+        for k in (1, 4, 10):
+            draw, noise, _ = simulate_trials(dataclasses.replace(PREFIX_BASE, n_users=k, **overrides))
+            for name, value in vars(draw).items():
+                np.testing.assert_array_equal(value, getattr(wide_draw, name)[:, :k], err_msg=name)
+            np.testing.assert_array_equal(noise, wide_noise[:, :k])
+
+    @pytest.mark.parametrize("cfg, values", [
+        (SimConfig(n_users=2, n_chips=31, ebn0_db=6.0, trials=1500, seed=31, gamma=1 / 62,
+                   k_max=31), [1, 2, 7, 31, 7]),
+        (SimConfig(n_users=2, n_chips=31, ebn0_db=6.0, trials=1500, seed=32, family="gold"),
+         [33, 2, 10]),
+        (SimConfig(n_users=2, n_chips=31, ebn0_db=6.0, trials=1500, seed=33, family="fzc"),
+         [3, 30, 1]),
+        (SimConfig(n_users=2, n_chips=16, ebn0_db=6.0, trials=1500, seed=34, family="optimal",
+                   gamma=1 / 32), [2, 5, 16]),
+    ], ids=["weyl", "gold", "fzc", "optimal"])
+    def test_users_axis_matches_run_ber(self, engine_layout, cfg, values):
+        points = assert_sweep_matches_run_ber(cfg, "users", values)
+        assert all(point.error_count > 0 for point in points)
+
+    def test_results_identical_across_chunk_sizes(self, monkeypatch):
+        cfg = dataclasses.replace(PREFIX_BASE, n_users=7)
+        runs = []
+        for budget in (sim._CHUNK_BUDGET, 1):  # one chunk, then one chunk per block
+            monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
+            runs.append((run_ber(cfg), *simulate_trials(cfg)))
+        (ber_a, draw_a, noise_a, z_a), (ber_b, draw_b, noise_b, z_b) = runs
+        assert ber_a.error_count == ber_b.error_count > 0
+        assert ber_a.wilson_95_interval == ber_b.wilson_95_interval
+        np.testing.assert_array_equal(ber_a.per_user_ber, ber_b.per_user_ber)
+        for name, value in vars(draw_a).items():
+            np.testing.assert_array_equal(value, getattr(draw_b, name), err_msg=name)
+        np.testing.assert_array_equal(noise_a, noise_b)
+        np.testing.assert_array_equal(z_a, z_b)
 
 
 class TestVarianceBridge:
@@ -371,26 +458,12 @@ class TestSweep:
         SimConfig(n_users=1, n_chips=31, ebn0_db=0.0, trials=3000, seed=7),
     ], ids=["random", "fixed-sigma", "sequential", "vdc", "optimal", "single-user"])
     def test_ebn0_axis_matches_run_ber_per_value(self, cfg):
-        self.assert_one_pass_matches_per_value(cfg, self.EBN0_VALUES)
+        assert_sweep_matches_run_ber(cfg, "ebn0", self.EBN0_VALUES)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_ebn0_axis_matches_run_ber_across_chunks(self, monkeypatch, threads):
         monkeypatch.setenv("WEYLCDMA_THREADS", threads)
-        self.assert_one_pass_matches_per_value(MULTI_CHUNK, [2.0, 8.0, 8.0])
-
-    @staticmethod
-    def assert_one_pass_matches_per_value(cfg, values):
-        points = sim._ber_points(cfg, values)
-        rows = sweep(cfg, "ebn0", values)
-        assert len(points) == len(rows) == len(values)
-        for v, point, row in zip(values, points, rows):
-            ref = run_ber(dataclasses.replace(cfg, ebn0_db=v))
-            assert point.error_count == ref.error_count
-            np.testing.assert_array_equal(point.per_user_ber, ref.per_user_ber)
-            assert point.wilson_95_interval == ref.wilson_95_interval
-            assert (row.axis_value, row.mean_ber, row.wilson_lo, row.wilson_hi, row.bits) == (
-                v, ref.mean_ber, ref.wilson_lo, ref.wilson_hi, ref.bit_count
-            )
+        assert_sweep_matches_run_ber(MULTI_CHUNK, "ebn0", [2.0, 8.0, 8.0])
 
     def test_bad_ebn0_value_fails_before_simulating(self, monkeypatch):
         calls = []
@@ -442,6 +515,12 @@ class TestValidation:
         ):
             with pytest.raises(ValueError):
                 run_ber(SimConfig(**bad))
+        for gamma in (math.inf, -math.inf, math.nan):
+            cfg = SimConfig(**dict(good, gamma=gamma))
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                run_ber(cfg)
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                sweep(cfg, "users", [2, 3])
 
     def test_gold_requires_mersenne_length(self):
         cfg = SimConfig(n_users=2, n_chips=30, ebn0_db=10.0, trials=10, seed=0,
