@@ -101,6 +101,8 @@ def weyl_c_closed_form(rho_i: float, rho_k: float, lag: int, n_chips: int) -> fl
     DegeneratePhaseWarning is emitted, because the companion bound
     ``cross_bound`` is genuinely infinite there.
     """
+    if not (math.isfinite(rho_i) and math.isfinite(rho_k)):
+        raise ValueError(f"phases must be finite, got rho_i={rho_i}, rho_k={rho_k}")
     n = int(n_chips)
     l = _check_lag(lag, n)
     diff = (rho_k - rho_i) % 1.0
@@ -122,6 +124,8 @@ def cross_bound(rho_i: float, rho_k: float) -> float:
     phases coincide mod 1: the bound is infinite and callers must not
     treat it as finite.
     """
+    if not (math.isfinite(rho_i) and math.isfinite(rho_k)):
+        raise ValueError(f"phases must be finite, got rho_i={rho_i}, rho_k={rho_k}")
     diff = abs(rho_i - rho_k) % 1.0
     d = min(diff, 1.0 - diff)
     s = math.sin(math.pi * d)

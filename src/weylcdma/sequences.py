@@ -56,8 +56,9 @@ class ChipSequence:
         chips = np.asarray(self.chips, dtype=np.complex128)
         if chips.ndim != 1 or chips.size == 0:
             raise ValueError("chips must be a non-empty 1-D vector")
-        if np.max(np.abs(np.abs(chips) - 1.0)) >= UNIT_MODULUS_TOL:
-            raise ValueError("chips must have unit modulus")
+        # written so that a NaN chip fails the check too
+        if not np.all(np.abs(np.abs(chips) - 1.0) < UNIT_MODULUS_TOL):
+            raise ValueError("chips must be finite with unit modulus")
         object.__setattr__(self, "chips", chips)
 
     def __len__(self) -> int:
@@ -152,11 +153,18 @@ def fzc_family_sequence(params: FZCParams) -> ChipSequence:
     """
     n_chips = params.n_chips
     n = np.arange(1, n_chips + 1, dtype=np.float64)
-    core = math.pow(params.m_k, params.p) * np.power(n, params.q)
-    if params.r is not None:
-        core = core + np.power(n, params.r)
-    phase = np.pi * n * params.m_k + np.pi * core / n_chips
-    chips = np.exp(1j * phase)
+    try:
+        scale = math.pow(params.m_k, params.p)
+    except (OverflowError, ValueError):  # math.pow: "math range error", "math domain error"
+        raise ValueError(
+            f"m_k**p is not a finite real for m_k={params.m_k:g}, p={params.p:g}") from None
+    # an overflowing phase gives non-finite chips, which ChipSequence rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = scale * np.power(n, params.q)
+        if params.r is not None:
+            core = core + np.power(n, params.r)
+        phase = np.pi * n * params.m_k + np.pi * core / n_chips
+        chips = np.exp(1j * phase)
     r_txt = "-inf" if params.r is None else f"{params.r:g}"
     tag = f"fzc(m={params.m_k:g},p={params.p:g},q={params.q:g},r={r_txt})"
     return ChipSequence(chips, family_tag=tag)

@@ -18,16 +18,16 @@ coefficient of variation of Z.
 Chip duration Tc is normalized to 1 (all BER-relevant quantities are
 ratios), and each trial decides exactly one symbol per user.
 
-Determinism: block b of ``_BLOCK`` trials draws each quantity q from its
-own PCG64 stream, SeedSequence(seed, spawn_key=(1, b, q)), filled
-user-major, so K users draw the first K columns of any wider draw.  A
-chunk is a run of whole blocks, one reduce(draw, noise, mai) each, run in
-the chunk's own task; results are bit-identical whatever the chunk size
-or WEYLCDMA_THREADS (a positive integer; the pool is capped at the chunk
-count and the CPU count).  mai[:, i, j] sums the MAI on user i from users
-0..j, so users 0..K-1 see Z - g = b + mai[:, :K, K-1], which does not
-depend on E/N0: an E/N0 sweep is one pass, and a users sweep one pass at
-its largest K per slot pool, whose points share trials.
+Determinism: the unit of work is the block of ``_BLOCK`` trials.  Block b
+draws each quantity q from its own PCG64 stream, SeedSequence(seed,
+spawn_key=(1, b, q)), filled user-major, so K users draw the first K
+columns of any wider draw.  Each block runs reduce(draw, noise, mai) in
+its own task; results are bit-identical whatever WEYLCDMA_THREADS (a
+positive integer; the pool is capped at the block count and the CPU
+count).  mai[:, i, j] sums the MAI on user i from users 0..j, so users
+0..K-1 see Z - g = b + mai[:, :K, K-1], which does not depend on E/N0: an
+E/N0 sweep is one pass, and a users sweep one pass at its largest K per
+slot pool, whose points share trials.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ TC = 1.0  # chip duration; the symbol duration is T = N * TC
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 _BLOCK = 1024  # trials per RNG block: part of the random-number layout
-_CHUNK_BUDGET = 1_000_000  # target elements per (T, K, K) work array
 _THREADS_ENV = "WEYLCDMA_THREADS"
 
 _FZC_TRIPLE = (1.0, 1.0, 1.275)  # (p, q, r) exponents of the fzc pool
+_GOLD_DEGREE = 5  # the one register degree with a built-in preferred pair
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,6 @@ def _slot_count(config: SimConfig) -> int:
     return config.n_users if config.family == "optimal" else config.n_chips
 
 
-def _gold_degree(n_chips: int) -> int:
-    degree = round(math.log2(n_chips + 1))
-    if (1 << degree) - 1 != n_chips:
-        raise ValueError("gold family requires n_chips = 2**m - 1")
-    return degree
-
-
 def family_capacity(config: SimConfig) -> int:
     """Largest user count the configured family pool can serve (builds no pool)."""
     kind = config.family
@@ -184,7 +177,9 @@ def family_capacity(config: SimConfig) -> int:
     if kind == "fzc":
         return len(_coprime_indices(config.n_chips))
     if kind == "gold":
-        return gold_family_size(_gold_degree(config.n_chips))
+        if config.n_chips != (1 << _GOLD_DEGREE) - 1:
+            raise ValueError(f"the built-in gold family has n_chips = 31, got {config.n_chips}")
+        return gold_family_size(_GOLD_DEGREE)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -199,7 +194,7 @@ def build_pool(config: SimConfig) -> np.ndarray:
             for m in _coprime_indices(n)
         ]
     elif config.family == "gold":
-        pool = [s.chips for s in gold_family(_gold_degree(n))]
+        pool = [s.chips for s in gold_family(_GOLD_DEGREE)]
     else:  # weyl, optimal
         k_max = _slot_count(config)
         pool = [
@@ -303,9 +298,14 @@ def _noise_std(config: SimConfig) -> float:
     return math.sqrt(LinkBudget.from_db(config.ebn0_db, config.n_chips, config.n_users).noise_term)
 
 
-def _draw_block(config: SimConfig, pool_size: int, fixed_sigma: np.ndarray | None,
-                block: int) -> tuple[np.ndarray, ...]:
-    """(tau, phi, bits_prev, bits_cur, sigma, noise) of one trial block, each (t, K)."""
+def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
+                    fixed_sigma: np.ndarray | None,
+                    block: int) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
+    """Draws, unit-variance noise and cumulative MAI / (N*Tc) of one trial block.
+
+    Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
+    of Theta(l) and Theta(l+1).
+    """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
     keys, tau, phi, prev, cur, noise = map(
@@ -314,34 +314,16 @@ def _draw_block(config: SimConfig, pool_size: int, fixed_sigma: np.ndarray | Non
         sigma = np.argsort(keys.random((pool_size, t)).T, axis=1)[:, :k]
     else:
         sigma = np.broadcast_to(fixed_sigma, (t, k))
-    return (
-        tau.random((k, t)).T * (n * TC),
-        phi.random((k, t)).T * (2.0 * np.pi),
-        prev.integers(0, 2, size=(k, t)).T * 2.0 - 1.0,
-        cur.integers(0, 2, size=(k, t)).T * 2.0 - 1.0,
-        sigma,
-        noise.standard_normal((k, t)).T,
-    )
-
-
-def _simulate_chunk(config: SimConfig, table: np.ndarray, pool_size: int,
-                    fixed_sigma: np.ndarray | None,
-                    blocks: range) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
-    """Draws, unit-variance noise and cumulative MAI / (N*Tc) of a run of trial blocks.
-
-    Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
-    of Theta(l) and Theta(l+1).
-    """
-    tau, phi, bits_prev, bits_cur, sigma, noise = (
-        np.concatenate(parts)
-        for parts in zip(*(_draw_block(config, pool_size, fixed_sigma, b) for b in blocks))
-    )
-    k, n = config.n_users, config.n_chips
+    tau = tau.random((k, t)).T * (n * TC)
+    phi = phi.random((k, t)).T * (2.0 * np.pi)
+    bits_prev = prev.integers(0, 2, size=(k, t)).T * 2.0 - 1.0
+    bits_cur = cur.integers(0, 2, size=(k, t)).T * 2.0 - 1.0
+    noise = noise.standard_normal((k, t)).T
     l = np.floor(tau / TC).astype(np.int64)
     w = tau - l * TC
     row = sigma * (pool_size * 2 * n)
     col = (sigma * 2 + (bits_prev != bits_cur)) * n + l
-    pair = np.take(table, row[:, :, None] + col[:, None, :], axis=0)  # (T, K, K, 4)
+    pair = np.take(table, row[:, :, None] + col[:, None, :], axis=0)  # (t, K, K, 4)
     # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
     cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
     weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
@@ -363,30 +345,27 @@ def _thread_count() -> int:
     return threads
 
 
-def _map_chunks(config: SimConfig, reduce) -> list:
-    """reduce(draw, noise, mai) of every chunk, in chunk order.
+def _map_blocks(config: SimConfig, reduce) -> list:
+    """reduce(draw, noise, mai) of every trial block, in block order.
 
-    A chunk's (T, K, K) arrays hold about ``_CHUNK_BUDGET`` elements.
-    reduce runs inside the chunk's own task, so only its result outlives
-    the chunk's arrays: peak memory is one chunk per worker plus the
-    reduced results, whatever the trial count.
+    reduce runs inside the block's own task, so only its result outlives
+    the block's (t, K, K) arrays: peak memory is one block per worker plus
+    the reduced results, whatever the trial count.
     """
     threads = _thread_count()
     pool = build_pool(config)
     table = theta_pairs(aperiodic_table(pool)).view(np.float64).reshape(-1, 4)
     fixed = _fixed_assignment(config, len(pool))
-    per_chunk = int(np.clip(_CHUNK_BUDGET // (config.n_users**2 * _BLOCK), 1, 64))
-    n_blocks = -(-config.trials // _BLOCK)
-    chunks = [range(b, min(b + per_chunk, n_blocks)) for b in range(0, n_blocks, per_chunk)]
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    blocks = range(-(-config.trials // _BLOCK))
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
 
-    def run(blocks: range):
-        return reduce(*_simulate_chunk(config, table, len(pool), fixed, blocks))
+    def run(block: int):
+        return reduce(*_simulate_block(config, table, len(pool), fixed, block))
 
     if workers == 1:
-        return [run(c) for c in chunks]
+        return [run(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(run, chunks))
+        return list(executor.map(run, blocks))
 
 
 def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
@@ -397,7 +376,7 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
     diagnostics and tests; use ``run_ber`` for large counts.
     """
     std = _noise_std(config)
-    draws, noise, z = zip(*_map_chunks(
+    draws, noise, z = zip(*_map_blocks(
         config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[..., -1] + std * g)))
     draw = TrialDraw(**{
         f.name: np.concatenate([getattr(d, f.name) for d in draws])
@@ -413,7 +392,7 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     per-slot variances against the analytic interference term.
     """
     std = _noise_std(config)
-    sigma, z_err = zip(*_map_chunks(
+    sigma, z_err = zip(*_map_blocks(
         config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[..., -1] + std * g) - d.bits_cur)))
     return np.concatenate(sigma), np.concatenate(z_err)
 
@@ -421,7 +400,7 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
     """``run_ber`` of each config; the configs differ only in n_users and ebn0_db.
 
-    Every config is checked before any chunk runs.  Configs with one pool
+    Every config is checked before any block runs.  Configs with one pool
     share a pass at their largest K; each counts errors in its first K
     columns.
     """
@@ -440,7 +419,7 @@ def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
                     for i in members]
 
         width = dataclasses.replace(configs[members[0]], n_users=max(ks[i] for i in members))
-        errors.update(zip(members, map(sum, zip(*_map_chunks(width, count)))))
+        errors.update(zip(members, map(sum, zip(*_map_blocks(width, count)))))
     results = []
     for i, cfg in enumerate(configs):
         bits, total = cfg.trials * ks[i], int(errors[i].sum())

@@ -144,6 +144,8 @@ def r_ik_closed(sigma_i: int, sigma_k: int, gamma: float, n_chips: int) -> float
     as 2 sin^2(pi d) with d the wrap-around slot distance.  Coincident
     slots are rejected (the model assumes distinct slots).
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     n = int(n_chips)
     si, sk = int(sigma_i) % n, int(sigma_k) % n
     if si == sk:
@@ -167,6 +169,8 @@ def expected_r_sum_terms(
     (coupling term, cosine term): the first equals 2N(N+1)(K-1)/3 and the
     second N(N-2)(K-1)/3 * cos(2 pi (gamma + sigma_i/N)).
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     k, n = int(n_users), int(n_chips)
     if not 2 <= k <= n:
         raise ValueError(f"n_users must lie in [2, n_chips={n}], got {k}")

@@ -58,6 +58,19 @@ class TestGenerate:
         assert code == 1
         assert "rho" in err
 
+    def test_non_finite_fzc_chips_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["generate", "--family", "fzc", "--q", "1000", "--n", "8"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+    @pytest.mark.parametrize("args", [["--mk", "1e200", "--p", "2"], ["--mk", "10", "--p", "400"],
+                                      ["--mk", "0", "--p", "-1"]],
+                             ids=["large-mk", "large-p", "zero-mk"])
+    def test_fzc_overflow_rejected(self, capsys, args):
+        code, out, err = run_cli(capsys, ["generate", "--family", "fzc", *args])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("weylcdma: m_k**p is not a finite real")
+
 
 class TestCorrelate:
     def test_antipodal_bound_column_is_one(self, capsys):
@@ -230,6 +243,13 @@ class TestBerSweep:
                                                   f"--gamma={gamma}"])
                 assert code == 1 and out == ""
                 assert err.count("\n") == 1 and "gamma must be finite" in err
+
+    def test_gold_length_without_built_in_pair_rejected(self, capsys):
+        for n in ("7", "63", "127"):
+            code, out, err = run_cli(capsys, ["ber-sweep", "--family", "gold", "--n", n,
+                                              "--axis", "users", "--values", "2"])
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "n_chips = 31" in err
 
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"

@@ -1,6 +1,7 @@
 """Correlation tests: branch definitions against a brute-force oracle,
 closed forms, the crosscorrelation bound, and the interference moment."""
 
+import math
 
 import numpy as np
 import pytest
@@ -220,6 +221,18 @@ class TestCrossBound:
             cross_bound(0.3, 0.3)
         with pytest.raises(DegeneratePhaseError):
             cross_bound(0.0, 1.0)
+
+
+@pytest.mark.parametrize("func, args", [
+    (cross_bound, (math.nan, 0.2)),
+    (cross_bound, (math.inf, 0.2)),
+    (cross_bound, (0.2, -math.inf)),
+    (weyl_c_closed_form, (math.nan, 0.2, 3, 31)),
+    (weyl_c_closed_form, (0.2, math.inf, 3, 31)),
+], ids=["bound-nan", "bound-inf", "bound-neg-inf", "closed-form-nan", "closed-form-inf"])
+def test_closed_forms_reject_nonfinite_phase(func, args):
+    with pytest.raises(ValueError, match="must be finite"):
+        func(*args)
 
 
 class TestInterferenceMoment:

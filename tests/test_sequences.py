@@ -240,6 +240,12 @@ class TestChipSequence:
         with pytest.raises(ValueError):
             ChipSequence(np.array([1.0 + 0j, 0.5 + 0j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)],
+                             ids=["nan", "inf", "nan-imag"])
+    def test_rejects_non_finite_chips(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ChipSequence(np.array([bad, 1.0], dtype=complex))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ChipSequence(np.array([], dtype=complex))

@@ -4,6 +4,7 @@ and sweep behavior."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ def trial_row(draws, t):
     return TrialDraw(**{name: value[t] for name, value in vars(draws).items()})
 
 
-# K = 31 gives one-block (1024-trial) chunks, so 2500 trials span three chunks
-MULTI_CHUNK = SimConfig(n_users=31, n_chips=31, ebn0_db=8.0, trials=2500, seed=5,
+# 2500 trials span three 1024-trial blocks, the last one partial
+MULTI_BLOCK = SimConfig(n_users=31, n_chips=31, ebn0_db=8.0, trials=2500, seed=5,
                         family="weyl", gamma=1 / 62, k_max=31)
 
 
@@ -233,13 +234,13 @@ class TestEngineConsistency:
             assert len(set(row.tolist())) == 6
 
     def test_collectors_agree_across_chunks(self):
-        draws, _, zs = simulate_trials(MULTI_CHUNK)
+        draws, _, zs = simulate_trials(MULTI_BLOCK)
         assert zs.shape == draws.sigma.shape == (2500, 31)
-        sigma, z_err = collect_decision_noise(MULTI_CHUNK)
+        sigma, z_err = collect_decision_noise(MULTI_BLOCK)
         np.testing.assert_array_equal(sigma, draws.sigma)
         np.testing.assert_array_equal(z_err, zs - draws.bits_cur)
         errors = int(np.sum(zs * draws.bits_cur < 0.0))
-        assert run_ber(MULTI_CHUNK).error_count == errors
+        assert run_ber(MULTI_BLOCK).error_count == errors
 
 
 class TestRunBer:
@@ -296,7 +297,7 @@ class TestThreads:
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("WEYLCDMA_THREADS", threads)
-            runs.append((run_ber(MULTI_CHUNK), *collect_decision_noise(MULTI_CHUNK)))
+            runs.append((run_ber(MULTI_BLOCK), *collect_decision_noise(MULTI_BLOCK)))
         (ber_1, sigma_1, err_1), (ber_2, sigma_2, err_2) = runs
         assert ber_1.error_count == ber_2.error_count > 0
         np.testing.assert_array_equal(ber_1.per_user_ber, ber_2.per_user_ber)
@@ -311,14 +312,10 @@ class TestThreads:
             run_ber(cfg)
 
 
-@pytest.fixture(params=[("1", None), ("2", None), ("1", 100_000), ("2", 100_000)],
-                ids=["1-thread", "2-threads", "1-thread-small-chunks", "2-threads-small-chunks"])
+@pytest.fixture(params=["1", "2"], ids=["1-thread", "2-threads"])
 def engine_layout(request, monkeypatch):
-    """Thread count and chunk budget; a budget of 100,000 gives chunks of one or two blocks."""
-    threads, budget = request.param
-    monkeypatch.setenv("WEYLCDMA_THREADS", threads)
-    if budget is not None:
-        monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
+    """Thread count of the engine's block pool."""
+    monkeypatch.setenv("WEYLCDMA_THREADS", request.param)
 
 
 # 2100 trials: three blocks, the last one partial
@@ -356,20 +353,27 @@ class TestBlockLayout:
         points = assert_sweep_matches_run_ber(cfg, "users", values)
         assert all(point.error_count > 0 for point in points)
 
-    def test_results_identical_across_chunk_sizes(self, monkeypatch):
-        cfg = dataclasses.replace(PREFIX_BASE, n_users=7)
-        runs = []
-        for budget in (sim._CHUNK_BUDGET, 1):  # one chunk, then one chunk per block
-            monkeypatch.setattr(sim, "_CHUNK_BUDGET", budget)
-            runs.append((run_ber(cfg), *simulate_trials(cfg)))
-        (ber_a, draw_a, noise_a, z_a), (ber_b, draw_b, noise_b, z_b) = runs
-        assert ber_a.error_count == ber_b.error_count > 0
-        assert ber_a.wilson_95_interval == ber_b.wilson_95_interval
-        np.testing.assert_array_equal(ber_a.per_user_ber, ber_b.per_user_ber)
-        for name, value in vars(draw_a).items():
-            np.testing.assert_array_equal(value, getattr(draw_b, name), err_msg=name)
-        np.testing.assert_array_equal(noise_a, noise_b)
-        np.testing.assert_array_equal(z_a, z_b)
+    def test_one_call_per_block(self, engine_layout, monkeypatch):
+        blocks = []
+        simulate_block = sim._simulate_block
+        monkeypatch.setattr(sim, "_simulate_block",
+                            lambda *args: blocks.append(args[-1]) or simulate_block(*args))
+        for trials in (1, 1024, 1025, 2100):
+            blocks.clear()
+            sweep(dataclasses.replace(PREFIX_BASE, trials=trials), "users", [2, 5])  # one pass
+            assert sorted(blocks) == list(range(math.ceil(trials / 1024)))
+
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
+        monkeypatch.setenv("WEYLCDMA_THREADS", "1")
+        peaks = []
+        for trials in (1024, 20 * 1024):
+            tracemalloc.start()
+            try:
+                run_ber(dataclasses.replace(PREFIX_BASE, n_users=7, trials=trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestVarianceBridge:
@@ -463,13 +467,13 @@ class TestSweep:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_ebn0_axis_matches_run_ber_across_chunks(self, monkeypatch, threads):
         monkeypatch.setenv("WEYLCDMA_THREADS", threads)
-        assert_sweep_matches_run_ber(MULTI_CHUNK, "ebn0", [2.0, 8.0, 8.0])
+        assert_sweep_matches_run_ber(MULTI_BLOCK, "ebn0", [2.0, 8.0, 8.0])
 
     def test_bad_ebn0_value_fails_before_simulating(self, monkeypatch):
         calls = []
-        simulate_chunk = sim._simulate_chunk
-        monkeypatch.setattr(sim, "_simulate_chunk",
-                            lambda *args: calls.append(args) or simulate_chunk(*args))
+        simulate_block = sim._simulate_block
+        monkeypatch.setattr(sim, "_simulate_block",
+                            lambda *args: calls.append(args) or simulate_block(*args))
         cfg = SimConfig(n_users=3, n_chips=16, ebn0_db=10.0, trials=50, seed=0, k_max=16)
         for values in ([0.0, math.nan], [0.0, 4000.0]):
             with pytest.raises(ValueError, match="ebn0_db"):
@@ -481,9 +485,9 @@ class TestSweep:
 
     def test_bad_users_value_fails_before_simulating(self, monkeypatch):
         calls = []
-        simulate_chunk = sim._simulate_chunk
-        monkeypatch.setattr(sim, "_simulate_chunk",
-                            lambda *args: calls.append(args) or simulate_chunk(*args))
+        simulate_block = sim._simulate_block
+        monkeypatch.setattr(sim, "_simulate_block",
+                            lambda *args: calls.append(args) or simulate_block(*args))
         cfg = SimConfig(n_users=2, n_chips=31, ebn0_db=25.0, trials=20000, seed=1, k_max=31)
         with pytest.raises(ValueError, match="n_users=40 exceeds the weyl family capacity 31"):
             sweep(cfg, "users", [2, 8, 40])
@@ -523,12 +527,15 @@ class TestValidation:
                 sweep(cfg, "users", [2, 3])
 
     def test_gold_requires_mersenne_length(self):
-        cfg = SimConfig(n_users=2, n_chips=30, ebn0_db=10.0, trials=10, seed=0,
-                        family="gold")
-        with pytest.raises(ValueError):
-            run_ber(cfg)
-        with pytest.raises(ValueError):  # 63 = 2**6 - 1, but no built-in degree-6 pair
-            run_ber(dataclasses.replace(cfg, n_chips=63))
+        cfg = SimConfig(n_users=2, n_chips=31, ebn0_db=10.0, trials=10, seed=0, family="gold")
+        assert family_capacity(cfg) == 33
+        # 7, 63 and 127 are 2**m - 1, but only degree 5 has a built-in preferred pair
+        for n in (7, 30, 63, 127):
+            bad = dataclasses.replace(cfg, n_chips=n)
+            with pytest.raises(ValueError, match="gold family has n_chips = 31"):
+                family_capacity(bad)
+            with pytest.raises(ValueError, match="gold family has n_chips = 31"):
+                run_ber(bad)
 
     def test_vdc_requires_power_of_two_and_full_pool(self):
         with pytest.raises(ValueError):

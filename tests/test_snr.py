@@ -120,6 +120,18 @@ class TestExpectedRSum:
         assert r_total / (6.0 * n**3) == pytest.approx(variance, rel=1e-12)
 
 
+@pytest.mark.parametrize("func, args", [
+    (r_ik_closed, (1, 2, math.nan, 31)),
+    (r_ik_closed, (1, 2, math.inf, 31)),
+    (expected_r_sum_terms, (0, math.nan, 5, 31)),
+    (expected_r_sum, (0, -math.inf, 5, 31)),
+    (expected_weyl_snr, (0, math.nan, 5, 31, LinkBudget.from_db(10.0, 31, 5))),
+], ids=["r-ik-nan", "r-ik-inf", "r-sum-terms-nan", "r-sum-neg-inf", "weyl-snr-nan"])
+def test_closed_forms_reject_nonfinite_gamma(func, args):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        func(*args)
+
+
 class TestExpectedWeylSnr:
     def test_worst_cosine_value(self):
         # gamma + sigma_i/N = 1/2 puts the cosine at -1: R = (K-1)(N+4)/(18 N^2)
