@@ -124,6 +124,8 @@ class OptimalWeylParams:
     n_chips: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if int(self.k_max) < 1:
             raise ValueError("k_max must be a positive integer")
         if not 0 <= int(self.sigma_k) < int(self.k_max):

@@ -24,10 +24,14 @@ spawn_key=(1, b, q)), filled user-major, so K users draw the first K
 columns of any wider draw.  Each block runs reduce(draw, noise, mai) in
 its own task; results are bit-identical whatever WEYLCDMA_THREADS (a
 positive integer; the pool is capped at the block count and the CPU
-count).  mai[:, i, j] sums the MAI on user i from users 0..j, so users
-0..K-1 see Z - g = b + mai[:, :K, K-1], which does not depend on E/N0: an
-E/N0 sweep is one pass, and a users sweep one pass at its largest K per
-slot pool, whose points share trials.
+count).  A pass reads a set of user counts (widths); mai[c] is the (t, c)
+MAI on users 0..c-1 from users 0..c-1, so those users see
+Z - g = b + mai[c], which does not depend on E/N0: an E/N0 sweep is one
+pass, and a users sweep one pass at its largest K per slot pool, whose
+points share trials.  A pass that reads one width sums all interferers
+in one contraction; one that reads several takes prefix sums over
+interferers, so its statistics agree with the one-width ones to float
+rounding.
 """
 
 from __future__ import annotations
@@ -299,12 +303,14 @@ def _noise_std(config: SimConfig) -> float:
 
 
 def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
-                    fixed_sigma: np.ndarray | None,
-                    block: int) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
-    """Draws, unit-variance noise and cumulative MAI / (N*Tc) of one trial block.
+                    fixed_sigma: np.ndarray | None, widths: tuple[int, ...],
+                    block: int) -> tuple[TrialDraw, np.ndarray, dict[int, np.ndarray]]:
+    """Draws, unit-variance noise and MAI / (N*Tc) of one trial block.
 
     Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
-    of Theta(l) and Theta(l+1).
+    of Theta(l) and Theta(l+1), zero for sigma_i = sigma_k.  The MAI is
+    {c: (t, c) array} over the sorted user counts ``widths``, the largest
+    being config.n_users.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
@@ -327,11 +333,12 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
     # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
     cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
     weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
-    mai = np.einsum("tikj,tkj->tik", pair, weights)
-    mai[:, np.arange(k), np.arange(k)] = 0.0
-    np.cumsum(mai, axis=2, out=mai)
     draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
-    return draw, noise, mai
+    if widths == (k,):
+        return draw, noise, {k: np.einsum("tikj,tkj->ti", pair, weights)}
+    cum = np.einsum("tikj,tkj->tik", pair, weights)  # per (receiver, interferer) pair
+    np.cumsum(cum, axis=2, out=cum)
+    return draw, noise, {c: cum[:, :c, c - 1] for c in widths}
 
 
 def _thread_count() -> int:
@@ -345,22 +352,27 @@ def _thread_count() -> int:
     return threads
 
 
-def _map_blocks(config: SimConfig, reduce) -> list:
+def _map_blocks(config: SimConfig, reduce, widths: tuple[int, ...] | None = None) -> list:
     """reduce(draw, noise, mai) of every trial block, in block order.
 
-    reduce runs inside the block's own task, so only its result outlives
-    the block's (t, K, K) arrays: peak memory is one block per worker plus
-    the reduced results, whatever the trial count.
+    mai holds the sorted user counts ``widths``, the largest being
+    config.n_users (the default).  reduce runs inside the block's own
+    task, so only its result outlives the block's (t, K, K) arrays: peak
+    memory is one block per worker plus the reduced results, whatever the
+    trial count.
     """
     threads = _thread_count()
     pool = build_pool(config)
-    table = theta_pairs(aperiodic_table(pool)).view(np.float64).reshape(-1, 4)
+    pairs = theta_pairs(aperiodic_table(pool))
+    pairs[np.arange(len(pool)), np.arange(len(pool))] = 0.0  # no self-interference
+    table = pairs.view(np.float64).reshape(-1, 4)
     fixed = _fixed_assignment(config, len(pool))
+    widths = widths or (config.n_users,)
     blocks = range(-(-config.trials // _BLOCK))
     workers = min(threads, len(blocks), os.cpu_count() or 1)
 
     def run(block: int):
-        return reduce(*_simulate_block(config, table, len(pool), fixed, block))
+        return reduce(*_simulate_block(config, table, len(pool), fixed, widths, block))
 
     if workers == 1:
         return [run(b) for b in blocks]
@@ -375,9 +387,9 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
     samples before scaling, and the decision statistics.  Intended for
     diagnostics and tests; use ``run_ber`` for large counts.
     """
-    std = _noise_std(config)
+    k, std = config.n_users, _noise_std(config)
     draws, noise, z = zip(*_map_blocks(
-        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[..., -1] + std * g)))
+        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[k] + std * g)))
     draw = TrialDraw(**{
         f.name: np.concatenate([getattr(d, f.name) for d in draws])
         for f in dataclasses.fields(TrialDraw)
@@ -391,9 +403,9 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns (sigma, z_err), both (trials, K); used to compare empirical
     per-slot variances against the analytic interference term.
     """
-    std = _noise_std(config)
+    k, std = config.n_users, _noise_std(config)
     sigma, z_err = zip(*_map_blocks(
-        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[..., -1] + std * g) - d.bits_cur)))
+        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[k] + std * g) - d.bits_cur)))
     return np.concatenate(sigma), np.concatenate(z_err)
 
 
@@ -412,14 +424,15 @@ def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
         passes.setdefault(pool_key, []).append(i)
     errors = {}
     for members in passes.values():
+        widths = tuple(sorted({ks[i] for i in members}))
 
         def count(draw, g, mai, members=members):
-            s = {k: draw.bits_cur[:, :k] + mai[:, :k, k - 1] for k in {ks[i] for i in members}}
+            s = {k: draw.bits_cur[:, :k] + m for k, m in mai.items()}
             return [((s[ks[i]] + stds[i] * g[:, :ks[i]]) * draw.bits_cur[:, :ks[i]] < 0.0).sum(0)
                     for i in members]
 
-        width = dataclasses.replace(configs[members[0]], n_users=max(ks[i] for i in members))
-        errors.update(zip(members, map(sum, zip(*_map_blocks(width, count)))))
+        width = dataclasses.replace(configs[members[0]], n_users=widths[-1])
+        errors.update(zip(members, map(sum, zip(*_map_blocks(width, count, widths)))))
     results = []
     for i, cfg in enumerate(configs):
         bits, total = cfg.trials * ks[i], int(errors[i].sum())

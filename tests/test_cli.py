@@ -71,6 +71,13 @@ class TestGenerate:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("weylcdma: m_k**p is not a finite real")
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_optimal_gamma_rejected(self, capsys, gamma):
+        code, out, err = run_cli(capsys, ["generate", "--family", "optimal", "--gamma", gamma,
+                                          "--n", "8"])
+        assert code == 1 and out == ""
+        assert err == f"weylcdma: gamma must be finite, got {gamma}\n"
+
 
 class TestCorrelate:
     def test_antipodal_bound_column_is_one(self, capsys):

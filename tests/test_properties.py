@@ -1,14 +1,25 @@
 """Property tests: a users-axis sweep equals a separate run_ber per user count,
-for any family, policy, trial count and list of user counts."""
+for any family, policy, trial count and list of user counts; and the Weyl
+correlation identities (crosscorrelation bound, closed-form r_ik, theta/theta_hat
+wrap) hold for any length, slot pair and gamma."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from weylcdma.correlation import (  # noqa: E402
+    aperiodic_table,
+    cross_bound,
+    r_ik,
+    theta_pairs,
+)
+from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence  # noqa: E402
 from weylcdma.sim import SimConfig, family_capacity, run_ber, sweep  # noqa: E402
+from weylcdma.snr import r_ik_closed  # noqa: E402
 
 # (family, N, k_max, policies the family admits)
 FAMILIES = [
@@ -46,3 +57,46 @@ def test_users_axis_sweep_equals_run_ber_per_value(case):
         assert (row.axis_value, row.mean_ber, row.wilson_lo, row.wilson_hi, row.bits) == (
             k, ref.mean_ber, ref.wilson_lo, ref.wilson_hi, ref.bit_count
         )
+
+
+@st.composite
+def weyl_pairs(draw):
+    """(N, sigma_i, sigma_k, gamma): two distinct slots of a k_max = N Weyl family."""
+    n = draw(st.integers(4, 64))
+    sigma_i, sigma_k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    gamma = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return n, sigma_i, sigma_k, gamma
+
+
+def weyl_chips(n, sigma, gamma):
+    return optimal_weyl_sequence(OptimalWeylParams(gamma, sigma, n, n)).chips
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(weyl_pairs())
+def test_crosscorrelation_within_bound(case):
+    n, sigma_i, sigma_k, gamma = case
+    table = aperiodic_table([weyl_chips(n, sigma_i, gamma), weyl_chips(n, sigma_k, gamma)])
+    bound = cross_bound(gamma + sigma_i / n, gamma + sigma_k / n)
+    assert np.abs(table[0, 1]).max() <= bound + 1e-9
+    assert np.abs(table[1, 0]).max() <= bound + 1e-9
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(weyl_pairs())
+def test_r_ik_matches_closed_form(case):
+    n, sigma_i, sigma_k, gamma = case
+    x, y = weyl_chips(n, sigma_i, gamma), weyl_chips(n, sigma_k, gamma)
+    assert r_ik(x, y) == pytest.approx(r_ik_closed(sigma_i, sigma_k, gamma, n), rel=1e-8)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(weyl_pairs())
+def test_theta_pairs_wrap(case):
+    # theta(N) = C(N) + C(0) = theta(0); theta_hat(N) = C(N) - C(0) = -theta_hat(0)
+    n, sigma_i, sigma_k, gamma = case
+    pairs = theta_pairs(aperiodic_table([weyl_chips(n, sigma_i, gamma),
+                                         weyl_chips(n, sigma_k, gamma)]))
+    theta, theta_hat = pairs[:, :, 0], pairs[:, :, 1]
+    np.testing.assert_array_equal(theta[..., n - 1, 1], theta[..., 0, 0])
+    np.testing.assert_array_equal(theta_hat[..., n - 1, 1], -theta_hat[..., 0, 0])

@@ -145,6 +145,11 @@ class TestOptimalWeyl:
         with pytest.raises(ValueError):
             OptimalWeylParams(gamma=0.0, sigma_k=4, k_max=4, n_chips=8)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            OptimalWeylParams(gamma=gamma, sigma_k=0, k_max=4, n_chips=8)
+
 
 class TestVanDerCorput:
     def test_listed_prefix(self):

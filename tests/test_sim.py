@@ -218,9 +218,9 @@ class TestEngineConsistency:
                     z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
                     assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
 
-    @pytest.mark.parametrize("family", ["weyl", "gold", "optimal"])
+    @pytest.mark.parametrize("family", ["weyl", "gold", "optimal", "fzc"])
     def test_single_user_statistic_is_bits_plus_noise(self, family):
-        # K = 1 has no interferer: Z is exactly b + std * g, with zero MAI
+        # K = 1 has no interferer: the table's self rows are zero, so Z is exactly b + std * g
         cfg = SimConfig(n_users=1, n_chips=31, ebn0_db=3.0, trials=2100, seed=17, family=family)
         draws, noise, zs = simulate_trials(cfg)
         std = math.sqrt(LinkBudget.from_db(3.0, 31, 1).noise_term)
@@ -352,6 +352,24 @@ class TestBlockLayout:
     def test_users_axis_matches_run_ber(self, engine_layout, cfg, values):
         points = assert_sweep_matches_run_ber(cfg, "users", values)
         assert all(point.error_count > 0 for point in points)
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(n_users=33, n_chips=31, ebn0_db=6.0, trials=3000, seed=41, family="gold"),
+        SimConfig(n_users=30, n_chips=31, ebn0_db=6.0, trials=3000, seed=42, family="fzc"),
+        SimConfig(n_users=31, n_chips=31, ebn0_db=6.0, trials=3000, seed=43, gamma=1 / 62,
+                  k_max=31),
+        SimConfig(n_users=31, n_chips=31, ebn0_db=6.0, trials=3000, seed=44, family="optimal",
+                  gamma=1 / 62),
+    ], ids=["gold", "fzc", "weyl", "optimal"])
+    def test_one_width_contraction_matches_prefix_sums(self, engine_layout, cfg):
+        # a pass reading only K sums all interferers at once; one reading several K
+        # takes prefix sums over interferers: the same MAI up to float rounding
+        k = cfg.n_users
+        read = lambda draw, g, mai: mai[k]  # noqa: E731
+        one = np.concatenate(sim._map_blocks(cfg, read))
+        prefix = np.concatenate(sim._map_blocks(cfg, read, widths=(1, 2, k)))
+        assert one.shape == prefix.shape == (cfg.trials, k)
+        np.testing.assert_allclose(one, prefix, rtol=0.0, atol=1e-13)
 
     def test_one_call_per_block(self, engine_layout, monkeypatch):
         blocks = []
