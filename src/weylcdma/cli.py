@@ -156,22 +156,9 @@ def _cmd_snr(args) -> int:
     return 0
 
 
-def _sim_config_from_args(args) -> SimConfig:
-    return SimConfig(
-        n_users=args.k,
-        n_chips=args.n,
-        ebn0_db=args.ebn0_db,
-        trials=args.trials,
-        seed=args.seed,
-        family=args.family,
-        policy=args.policy,
-        gamma=args.gamma,
-        k_max=args.kmax,
-        redraw_sigma=(args.sigma_mode == "per-trial"),
-    )
-
-
-def _sweep_params(config: SimConfig, axis: str, values, extra: dict | None = None) -> dict:
+def _write_sweep(config: SimConfig, axis: str, values, out: str | None, **extra) -> None:
+    """Run ``sweep`` and write its rows as CSV, every effective parameter in the header."""
+    rows = sweep(config, axis, values)
     params = {
         "command": "ber-sweep",
         "axis": axis,
@@ -186,25 +173,29 @@ def _sweep_params(config: SimConfig, axis: str, values, extra: dict | None = Non
         "trials": config.trials,
         "seed": config.seed,
         "sigma_mode": "per-trial" if config.redraw_sigma else "fixed",
+        **extra,
     }
-    if extra:
-        params.update(extra)
-    return params
-
-
-def _sweep_csv_lines(params: dict, rows) -> list[str]:
     columns = [f.name for f in dataclasses.fields(SweepRow)]
-    return _csv_lines(params, columns, map(dataclasses.astuple, rows))
+    _emit(_csv_lines(params, columns, map(dataclasses.astuple, rows)), out)
 
 
 def _cmd_ber_sweep(args) -> int:
     values = [float(v) for v in (args.values or "").split(",") if v]
     if not values:
         raise SystemExit("ber-sweep: --values (flag or config file) must list an axis value")
-    config = _sim_config_from_args(args)
-    rows = sweep(config, args.axis, values)
-    params = _sweep_params(config, args.axis, values)
-    _emit(_sweep_csv_lines(params, rows), args.out)
+    config = SimConfig(
+        n_users=args.k,
+        n_chips=args.n,
+        ebn0_db=args.ebn0_db,
+        trials=args.trials,
+        seed=args.seed,
+        family=args.family,
+        policy=args.policy,
+        gamma=args.gamma,
+        k_max=args.kmax,
+        redraw_sigma=(args.sigma_mode == "per-trial"),
+    )
+    _write_sweep(config, args.axis, values, args.out)
     return 0
 
 
@@ -288,10 +279,8 @@ def run_preset(
             curve_values = tuple(
                 v for v in values if v <= family_capacity(dataclasses.replace(config, n_users=v))
             )
-        rows = sweep(config, axis, curve_values)
-        params = _sweep_params(config, axis, curve_values, extra={"preset": name, "curve": label})
         path = out / f"{name}_{label}.csv"
-        _emit(_sweep_csv_lines(params, rows), str(path))
+        _write_sweep(config, axis, curve_values, str(path), preset=name, curve=label)
         written.append(path)
     return written
 
@@ -341,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gamma", type=float, default=0.0)
     g.add_argument("--sigma", type=int, default=0)
     g.add_argument("--kmax", type=int, default=None)
-    g.add_argument("--degree", type=int, default=5)
+    g.add_argument("--degree", type=int, choices=(5,), default=5)
     g.add_argument("--index", type=int, default=0)
     _add_out(g)
     g.set_defaults(func=_cmd_generate)

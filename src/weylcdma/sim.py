@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -92,7 +94,7 @@ class SimConfig:
     family kinds: "weyl" (slot pool of size k_max, default N), "optimal"
     (weyl with k_max = K), "fzc" (one code per index m coprime to N, with
     the exponent triple ``_FZC_TRIPLE``), "gold" (all N+2 members of the
-    built-in degree-5 family, so N = 31).
+    built-in degree-5 family, so N = 31).  k_max is for weyl and optimal only.
     """
 
     n_users: int
@@ -162,56 +164,57 @@ def wilson_interval(errors: int, n: int, z: float = Z95) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _coprime_indices(n: int) -> list[int]:
-    return [m for m in range(1, n) if math.gcd(m, n) == 1]
+def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndarray]]]:
+    """(pool size, slot count, code builder) of the configured family kind.
 
-
-def _slot_count(config: SimConfig) -> int:
-    """Slots of a weyl/optimal pool: k_max if set, else N (weyl) or K (optimal)."""
+    The slot count is k_max if set, else N (weyl) or K (optimal), and 0 for
+    the kinds without slots (fzc, gold), which reject k_max.  The builder
+    makes the codes only when called.
+    """
+    kind, n = config.family, config.n_chips
+    if kind in ("weyl", "optimal"):
+        slots = config.k_max
+        if slots is None:
+            slots = config.n_users if kind == "optimal" else n
+        return slots, slots, lambda: [
+            optimal_weyl_sequence(
+                OptimalWeylParams(gamma=config.gamma, sigma_k=s, k_max=slots, n_chips=n)
+            ).chips
+            for s in range(slots)
+        ]
+    if kind not in ("fzc", "gold"):
+        raise ValueError(f"unknown family kind {kind!r}")
     if config.k_max is not None:
-        return config.k_max
-    return config.n_users if config.family == "optimal" else config.n_chips
+        raise ValueError(f"k_max applies to the weyl and optimal families, not {kind}")
+    if kind == "fzc":
+        p, q, r = _FZC_TRIPLE
+        indices = [m for m in range(1, n) if math.gcd(m, n) == 1]
+        return len(indices), 0, lambda: [
+            fzc_family_sequence(FZCParams(m_k=float(m), p=p, q=q, r=r, n_chips=n)).chips
+            for m in indices
+        ]
+    if n != (1 << _GOLD_DEGREE) - 1:
+        raise ValueError(f"the built-in gold family has n_chips = 31, got {n}")
+    return gold_family_size(_GOLD_DEGREE), 0, lambda: [s.chips for s in gold_family(_GOLD_DEGREE)]
 
 
 def family_capacity(config: SimConfig) -> int:
     """Largest user count the configured family pool can serve (builds no pool)."""
-    kind = config.family
-    if kind in ("weyl", "optimal"):
-        return _slot_count(config)
-    if kind == "fzc":
-        return len(_coprime_indices(config.n_chips))
-    if kind == "gold":
-        if config.n_chips != (1 << _GOLD_DEGREE) - 1:
-            raise ValueError(f"the built-in gold family has n_chips = 31, got {config.n_chips}")
-        return gold_family_size(_GOLD_DEGREE)
-    raise ValueError(f"unknown family kind {kind!r}")
+    return _family_pool(config)[0]
 
 
 def build_pool(config: SimConfig) -> np.ndarray:
     """Materialize the family's candidate codes as an (F, N) complex array."""
     _validate(config)
-    n = config.n_chips
-    if config.family == "fzc":
-        p, q, r = _FZC_TRIPLE
-        pool = [
-            fzc_family_sequence(FZCParams(m_k=float(m), p=p, q=q, r=r, n_chips=n)).chips
-            for m in _coprime_indices(n)
-        ]
-    elif config.family == "gold":
-        pool = [s.chips for s in gold_family(_GOLD_DEGREE)]
-    else:  # weyl, optimal
-        k_max = _slot_count(config)
-        pool = [
-            optimal_weyl_sequence(
-                OptimalWeylParams(gamma=config.gamma, sigma_k=s, k_max=k_max, n_chips=n)
-            ).chips
-            for s in range(k_max)
-        ]
-    return np.vstack(pool)
+    return np.vstack(_family_pool(config)[2]())
 
 
 def _validate(config: SimConfig) -> None:
-    # family rules live in family_capacity, E/N0 in LinkBudget.from_db, vdc slots in vdc_assignment
+    # family rules live in _family_pool, E/N0 in LinkBudget.from_db, vdc slots in vdc_assignment
+    for name in ("n_users", "n_chips", "trials", "seed", "k_max"):
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Integral) or (name == "k_max" and value is None)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if config.n_users < 1:
         raise ValueError("n_users must be >= 1")
     if config.n_chips < 2:
@@ -220,6 +223,8 @@ def _validate(config: SimConfig) -> None:
         raise ValueError("trials must be >= 1")
     if config.seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if config.k_max is not None and config.k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {config.k_max}")
     if not math.isfinite(config.gamma):
         raise ValueError(f"gamma must be finite, got {config.gamma}")
     policy = AssignmentPolicy(config.policy)
@@ -472,7 +477,7 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
             family=cfg.family,
             policy=cfg.policy,
             gamma=cfg.gamma,
-            kmax=_slot_count(cfg) if cfg.family in ("weyl", "optimal") else 0,
+            kmax=_family_pool(cfg)[1],
             mean_ber=res.mean_ber,
             wilson_lo=res.wilson_lo,
             wilson_hi=res.wilson_hi,

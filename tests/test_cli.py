@@ -40,6 +40,11 @@ class TestGenerate:
         _, rows = data_rows(out)
         assert len(rows) == 31
         assert {round(float(r[1])) for r in rows} <= {-1, 1}
+        # only degree 5 has a built-in preferred pair, and the CLI cannot pass taps
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--family", "gold", "--degree", "6"])
+        assert exc.value.code == 2
+        assert "--degree" in capsys.readouterr().err.splitlines()[-1]
 
     def test_fzc_r_none(self, capsys):
         code, out, _ = run_cli(
@@ -258,6 +263,13 @@ class TestBerSweep:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and "n_chips = 31" in err
 
+    def test_kmax_rejected_for_kinds_without_slots(self, capsys):
+        for family in ("gold", "fzc"):
+            code, out, err = run_cli(capsys, ["ber-sweep", "--family", family, "--kmax", "5",
+                                              "--values", "7"])
+            assert code == 1 and out == ""
+            assert err == f"weylcdma: k_max applies to the weyl and optimal families, not {family}\n"
+
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run_cli(capsys, self.ARGS + ["--out", str(out_path)])
@@ -296,18 +308,26 @@ class TestPreset:
         _, optimal_rows = data_rows(by_name["fig1_optimal.csv"].read_text())
         assert float(optimal_rows[-1][0]) == 31.0  # capacity follows K
 
-    def test_presets_match_pinned_digest(self, tmp_path):
+    def test_presets_match_pinned_digest(self, tmp_path, monkeypatch):
         # sha256 of the `sha256sum * | sha256sum` listing of fig1..fig4 at 300 trials,
-        # seed 7; a declared change to the CSV bytes updates this pin
-        for name in ("fig1", "fig2", "fig3", "fig4"):
-            run_preset(name, str(tmp_path), trials=300, seed=7)
-        listing = "".join(
-            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
-            for path in sorted(tmp_path.iterdir(), key=lambda path: path.name)
-        )
-        assert hashlib.sha256(listing.encode()).hexdigest() == (
-            "3af357c1b1507b1b10c4a4b5c85f420ef27ea1e7d6ff879d6dbae37c07def5fa"
-        )
+        # seed 7, under 1 and 2 threads; a declared change to the CSV bytes updates this pin
+        multi_block = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEYLCDMA_THREADS", threads)
+            # 300 trials are one block, which one worker runs; 2,500 span three blocks
+            paths = run_preset("fig3", str(tmp_path / f"fig3_{threads}"), trials=2_500, seed=7)
+            multi_block[threads] = [path.read_bytes() for path in paths]
+            out = tmp_path / threads
+            for name in ("fig1", "fig2", "fig3", "fig4"):
+                run_preset(name, str(out), trials=300, seed=7)
+            listing = "".join(
+                f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                for path in sorted(out.iterdir(), key=lambda path: path.name)
+            )
+            assert hashlib.sha256(listing.encode()).hexdigest() == (
+                "3af357c1b1507b1b10c4a4b5c85f420ef27ea1e7d6ff879d6dbae37c07def5fa"
+            ), f"WEYLCDMA_THREADS={threads}"
+        assert multi_block["1"] == multi_block["2"]
 
     def test_preset_names_cover_figures(self, tmp_path):
         for name in ("fig1", "fig2", "fig3", "fig4"):

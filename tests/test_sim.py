@@ -518,6 +518,26 @@ class TestSweep:
             sweep(cfg, "chips", [8, 16])
 
 
+POOL_BASE = SimConfig(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("overrides, capacity, kmax", [
+    (dict(k_max=9), 9, 9),
+    (dict(k_max=16), 16, 16),
+    (dict(), 16, 16),
+    (dict(family="optimal", n_users=5, n_chips=31), 5, 5),
+    (dict(family="optimal", n_users=5, n_chips=31, k_max=12), 12, 12),
+    (dict(family="fzc"), 8, 0),  # phi(16)
+    (dict(family="fzc", n_chips=31), 30, 0),
+    (dict(family="gold", n_chips=31), 33, 0),
+], ids=["weyl-kmax9", "weyl-kmax16", "weyl", "optimal", "optimal-kmax12", "fzc16", "fzc31",
+        "gold"])
+def test_capacity_pool_and_kmax_column_agree(overrides, capacity, kmax):
+    cfg = dataclasses.replace(POOL_BASE, **overrides)
+    assert family_capacity(cfg) == len(build_pool(cfg)) == capacity
+    assert [row.kmax for row in sweep(cfg, "users", [cfg.n_users])] == [kmax]
+
+
 class TestValidation:
     def test_config_field_errors(self):
         good = dict(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,
@@ -543,6 +563,27 @@ class TestValidation:
                 run_ber(cfg)
             with pytest.raises(ValueError, match="gamma must be finite"):
                 sweep(cfg, "users", [2, 3])
+        for field, value in (("n_users", 2.5), ("n_users", 2.0), ("n_chips", 16.0),
+                             ("trials", 10.0), ("seed", 1.5), ("k_max", 16.0), ("k_max", "16"),
+                             ("k_max", 0), ("k_max", -3)):
+            with pytest.raises(ValueError, match=field):
+                run_ber(SimConfig(**dict(good, **{field: value})))
+        with pytest.raises(ValueError, match="k_max"):
+            run_ber(SimConfig(**dict(good, family="optimal", k_max=-3)))
+        noisy = dict(good, ebn0_db=-3.0, trials=200)
+        ints = {f: np.int64(noisy[f]) for f in ("n_users", "n_chips", "trials", "seed", "k_max")}
+        ref, res = run_ber(SimConfig(**noisy)), run_ber(SimConfig(**dict(noisy, **ints)))
+        assert ref.error_count > 0  # numpy integers pass, with the same counts
+        np.testing.assert_array_equal(res.per_user_ber, ref.per_user_ber)
+        assert res.wilson_95_interval == ref.wilson_95_interval
+
+    def test_k_max_rejected_for_kinds_without_slots(self):
+        for family in ("gold", "fzc"):
+            cfg = SimConfig(n_users=7, n_chips=31, ebn0_db=10.0, trials=10, seed=0,
+                            family=family, k_max=5)
+            for call in (run_ber, family_capacity, build_pool):
+                with pytest.raises(ValueError, match=f"k_max applies .* not {family}"):
+                    call(cfg)
 
     def test_gold_requires_mersenne_length(self):
         cfg = SimConfig(n_users=2, n_chips=31, ebn0_db=10.0, trials=10, seed=0, family="gold")
