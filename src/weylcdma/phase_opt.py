@@ -7,13 +7,15 @@ objective, produces that closed-form solution together with its slack
 values, constructs the Lagrange multipliers that certify it, and checks
 the full KKT system (stationarity, primal feasibility, complementary
 slackness) numerically. A random-sampling falsifier provides an
-independent empirical cross-check. Every function takes its user pairs
-i < k from np.triu_indices(K, 1).
+independent empirical cross-check. The objective and the falsifier share
+one pair sum, which walks the pairs i < k by index gap; the multipliers
+and the KKT check take their pairs from np.triu_indices(K, 1).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,22 +74,39 @@ def circle_distance(rho_i, rho_k):
 
 
 def _pair_sum(rhos: np.ndarray) -> np.ndarray:
-    """Sum over pairs i < k of 1/sin(pi * d) along the last axis; inf when a distance is 0."""
-    i, j = np.triu_indices(rhos.shape[-1], 1)
-    s = np.sin(np.pi * circle_distance(rhos[..., i], rhos[..., j]))
+    """Sum over pairs i < k of 1/sin(pi * d(rho_i, rho_k)), phases along the first axis (K, ...).
+
+    The pairs (i, i + g) of index gap g are the slices [:-g] and [g:].  Each
+    term uses sin(pi * d(rho_i, rho_k)) = |sin(pi * (rho_k - rho_i))| =
+    |s_k * c_i - c_k * s_i| with s, c = sin(pi * rho), cos(pi * rho), so K
+    phases cost K sines and K cosines.  Equal phases give inf.
+    """
+    s, c = np.sin(np.pi * rhos), np.cos(np.pi * rhos)
+    total = np.zeros(rhos.shape[1:])
     with np.errstate(divide="ignore"):
-        return np.sum(1.0 / s, axis=-1)
+        for g in range(1, rhos.shape[0]):
+            total += np.sum(1.0 / np.abs(s[g:] * c[:-g] - c[g:] * s[:-g]), axis=0)
+    return total
 
 
 def objective(assignment) -> float:
     """Sum over pairs i < k of 1/sin(pi * d(rho_i, rho_k)).
 
-    Duplicate phases make a pair distance zero; the objective is then
-    signaled as math.inf rather than raising, so samplers can keep going.
+    Phases are taken mod 1.  Duplicate phases make a pair distance zero;
+    the objective is then signaled as math.inf rather than raising, so
+    samplers can keep going.
     """
     if isinstance(assignment, PhaseAssignment):
         assignment = assignment.rhos
-    return float(_pair_sum(np.asarray(assignment, dtype=np.float64)))
+    rhos = np.asarray(assignment, dtype=np.float64) % 1.0
+    return float(_pair_sum(rhos[:, None])[0])
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a non-integer (numpy integers pass) is a ValueError naming the field."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, np.ndarray]:
@@ -100,7 +119,7 @@ def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, np.nda
     for i < k, which equals d(rho_i, rho_k) at this solution, and zeros
     elsewhere.
     """
-    k = int(n_users)
+    k = _integer("n_users", n_users)
     if k < 2:
         raise ValueError("n_users must be >= 2")
     if not math.isfinite(gamma):
@@ -123,7 +142,7 @@ def _alpha(t):
 
 def alpha_tilde(m: int, n_users: int) -> float:
     """Multiplier magnitude for a pair with index gap m; symmetric under m <-> K-m."""
-    k = int(n_users)
+    k, m = _integer("n_users", n_users), _integer("m", m)
     if not 1 <= m <= k - 1:
         raise ValueError(f"gap must lie in [1, {k - 1}], got {m}")
     return float(_alpha(min(m / k, 1.0 - m / k)))
@@ -139,7 +158,7 @@ def construct_multipliers(
     mu carries it; for even K the antipodal gap m = K/2 has both
     constraints active and the weight splits evenly.
     """
-    k = int(n_users)
+    k = _integer("n_users", n_users)
     _, t = solution
     i, j = np.triu_indices(k, 1)
     gap = j - i
@@ -211,24 +230,25 @@ def verify_optimality_by_sampling(n_users: int, samples: int, seed: int) -> Samp
     the closed-form optimum by more than 1e-12.  Samples are drawn
     vectorized from one seeded PCG64 stream.
     """
-    k = int(n_users)
+    k = _integer("n_users", n_users)
+    samples, seed = _integer("samples", samples), _integer("seed", seed)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     assign, _ = global_solution(k, 0.0)
     opt = objective(assign)
     rng = np.random.default_rng(seed)
     best = math.inf
-    chunk = max(1, min(int(samples), 200_000 // max(k, 1)))
-    remaining = int(samples)
+    chunk = max(1, min(samples, 65_536 // k))  # (K, m) arrays stay in cache
+    remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        rho = np.sort(rng.random((m, k)), axis=1)
+        rho = np.sort(rng.random((m, k)), axis=1).T.copy()  # (K, m), C-contiguous
         best = min(best, float(np.min(_pair_sum(rho))))
     return SamplingReport(
         n_users=k,
-        n_samples=int(samples),
-        seed=int(seed),
+        n_samples=samples,
+        seed=seed,
         optimal_objective=opt,
         best_sampled_objective=best,
         shortfall=best - opt,

@@ -200,6 +200,7 @@ def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndar
 
 def family_capacity(config: SimConfig) -> int:
     """Largest user count the configured family pool can serve (builds no pool)."""
+    _check_fields(config)
     return _family_pool(config)[0]
 
 
@@ -209,8 +210,8 @@ def build_pool(config: SimConfig) -> np.ndarray:
     return np.vstack(_family_pool(config)[2]())
 
 
-def _validate(config: SimConfig) -> None:
-    # family rules live in _family_pool, E/N0 in LinkBudget.from_db, vdc slots in vdc_assignment
+def _check_fields(config: SimConfig) -> None:
+    """The integer fields' types and ranges."""
     for name in ("n_users", "n_chips", "trials", "seed", "k_max"):
         value = getattr(config, name)
         if not (isinstance(value, numbers.Integral) or (name == "k_max" and value is None)):
@@ -225,10 +226,15 @@ def _validate(config: SimConfig) -> None:
         raise ValueError("seed must be a nonnegative integer")
     if config.k_max is not None and config.k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {config.k_max}")
+
+
+def _validate(config: SimConfig) -> None:
+    # family rules live in _family_pool, E/N0 in LinkBudget.from_db, vdc slots in vdc_assignment
+    _check_fields(config)
     if not math.isfinite(config.gamma):
         raise ValueError(f"gamma must be finite, got {config.gamma}")
     policy = AssignmentPolicy(config.policy)
-    capacity = family_capacity(config)
+    capacity = _family_pool(config)[0]
     if policy is AssignmentPolicy.VAN_DER_CORPUT and (
         config.family != "weyl" or capacity != config.n_chips
     ):

@@ -19,6 +19,15 @@ from weylcdma.phase_opt import (
 )
 
 
+def reference_pair_sum(rhos):
+    """The triu_indices + circle_distance pair sum, phases along the last axis: an oracle."""
+    rhos = np.asarray(rhos, dtype=np.float64)
+    i, j = np.triu_indices(rhos.shape[-1], 1)
+    s = np.sin(np.pi * circle_distance(rhos[..., i], rhos[..., j]))
+    with np.errstate(divide="ignore"):
+        return np.sum(1.0 / s, axis=-1)
+
+
 class TestCircleDistance:
     def test_wraparound(self):
         assert circle_distance(0.1, 0.9) == pytest.approx(0.2)
@@ -68,6 +77,29 @@ class TestObjective:
     def test_duplicate_phases_signal_infinity(self):
         assert objective(np.array([0.2, 0.2, 0.8])) == math.inf
 
+    def test_phases_equal_mod_one_signal_infinity(self):
+        for rhos in ([0.0, 1.0], [0.25, 1.25, 0.5], [-0.75, 0.25]):
+            assert objective(np.array(rhos)) == math.inf
+
+    def test_matches_reference_pair_sum(self):
+        # the product identity's error is about 1e-16 / sin(pi d) of a term at distance d, so
+        # rel 1e-12 holds while no pair is closer than about 1e-3; closer pairs get that bound
+        rng = np.random.default_rng(11)
+        for k in (2, 3, 7, 20):
+            i, j = np.triu_indices(k, 1)
+            for _ in range(50):
+                raw = rng.random(k)
+                # sorted, unsorted, and off [0, 1)
+                for rhos in (np.sort(raw), raw, raw + rng.integers(-3, 4, size=k)):
+                    d_min = np.min(circle_distance(rhos[i], rhos[j]))
+                    rel = max(1e-12, 4e-15 / math.sin(math.pi * d_min))
+                    assert objective(rhos) == pytest.approx(reference_pair_sum(rhos), rel=rel)
+
+    def test_near_duplicate_pair_matches_reference(self):
+        for base in (0.0, 0.3, 0.5, 0.999):
+            rhos = np.array([base, base + 1e-6, base + 0.4])
+            assert objective(rhos) == pytest.approx(reference_pair_sum(rhos), rel=1e-9)
+
     def test_double_sum_counts_each_distance_twice(self):
         rng = np.random.default_rng(2)
         rhos = np.sort(rng.random(6))
@@ -115,6 +147,26 @@ class TestGlobalSolution:
     def test_rejects_single_user(self):
         with pytest.raises(ValueError):
             global_solution(1, 0.0)
+
+    def test_rejects_non_integer_counts(self):
+        for call, field in (
+            (lambda: global_solution(3.7, 0.0), "n_users"),
+            (lambda: global_solution(3.0, 0.0), "n_users"),
+            (lambda: alpha_tilde(1, 4.5), "n_users"),
+            (lambda: alpha_tilde(1.5, 4), "m"),
+            (lambda: construct_multipliers(3.0, global_solution(3, 0.0)), "n_users"),
+            (lambda: verify_optimality_by_sampling(3.7, 10, 0), "n_users"),
+            (lambda: verify_optimality_by_sampling(3, 2.5, 0), "samples"),
+            (lambda: verify_optimality_by_sampling(3, 10, 1.5), "seed"),
+            (lambda: verify_optimality_by_sampling(3, "10", 0), "samples"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                call()
+        # numpy integers pass, with the same results
+        ref = verify_optimality_by_sampling(5, 100, 3)
+        assert verify_optimality_by_sampling(np.int64(5), np.int32(100), np.uint8(3)) == ref
+        assert alpha_tilde(np.int64(2), np.int64(5)) == alpha_tilde(2, 5)
+        np.testing.assert_array_equal(global_solution(np.int64(4), 0.1)[1], global_solution(4, 0.1)[1])
 
     def test_rejects_nonfinite_phases_and_gamma(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
@@ -231,6 +283,12 @@ class TestSampling:
         for k in (2, 5, 13):
             first = np.sort(np.random.default_rng(9).random(k))
             assert verify_optimality_by_sampling(k, 1, seed=9).best_sampled_objective == objective(first)
+
+    def test_best_matches_reference_minimum_over_same_draws(self):
+        for k in range(2, 21):
+            draws = np.sort(np.random.default_rng(k).random((2_000, k)), axis=1)
+            best = verify_optimality_by_sampling(k, 2_000, seed=k).best_sampled_objective
+            assert best == pytest.approx(np.min(reference_pair_sum(draws)), rel=1e-12)
 
     def test_near_duplicate_samples_stay_above_optimum(self):
         # duplicates give infinite objectives and cannot undercut the optimum

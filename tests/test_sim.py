@@ -570,6 +570,13 @@ class TestValidation:
                 run_ber(SimConfig(**dict(good, **{field: value})))
         with pytest.raises(ValueError, match="k_max"):
             run_ber(SimConfig(**dict(good, family="optimal", k_max=-3)))
+        # family_capacity checks the same fields instead of returning a meaningless size
+        for family, field, value in (("weyl", "k_max", 0), ("weyl", "k_max", 2.5),
+                                     ("weyl", "k_max", -3), ("optimal", "n_users", 2.5),
+                                     ("optimal", "k_max", 0), ("weyl", "trials", 0)):
+            cfg = SimConfig(**{**good, "family": family, "k_max": None, field: value})
+            with pytest.raises(ValueError, match=field):
+                family_capacity(cfg)
         noisy = dict(good, ebn0_db=-3.0, trials=200)
         ints = {f: np.int64(noisy[f]) for f in ("n_users", "n_chips", "trials", "seed", "k_max")}
         ref, res = run_ber(SimConfig(**noisy)), run_ber(SimConfig(**dict(noisy, **ints)))
