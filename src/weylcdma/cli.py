@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_generate)
 
     c = sub.add_parser("correlate", help="per-lag correlation profile of a Weyl pair")
-    c.add_argument("--family", choices=("weyl",), default="weyl")
     c.add_argument("--rho-i", dest="rho_i", type=float, required=True)
     c.add_argument("--rho-k", dest="rho_k", type=float, required=True)
     c.add_argument("--n", type=int, required=True)

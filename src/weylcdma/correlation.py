@@ -16,11 +16,12 @@ below the tolerances used by callers.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from weylcdma.sequences import _finite, _integer
 
 __all__ = [
     "DegeneratePhaseError",
@@ -64,7 +65,7 @@ def aperiodic_c(x, y, lag: int) -> complex:
     """Aperiodic partial correlation C_{x,y}(lag); zero for |lag| >= N."""
     a, b = _pair(x, y)
     n = a.size
-    l = operator.index(lag)
+    l = _integer("lag", lag, -math.inf)
     if abs(l) >= n:
         return 0j
     if l >= 0:
@@ -72,24 +73,17 @@ def aperiodic_c(x, y, lag: int) -> complex:
     return complex(np.dot(np.conj(a[: n + l]), b[-l:]))
 
 
-def _check_lag(lag: int, n: int) -> int:
-    l = operator.index(lag)
-    if not 0 <= l < n:
-        raise ValueError(f"lag must lie in [0, {n}), got {lag}")
-    return l
-
-
 def periodic_theta(x, y, lag: int) -> complex:
     """Periodic correlation theta(lag) = C(lag) + C(lag - N) for lag in [0, N)."""
     a, b = _pair(x, y)
-    l = _check_lag(lag, a.size)
+    l = _integer("lag", lag, 0, a.size - 1)
     return aperiodic_c(a, b, l) + aperiodic_c(a, b, l - a.size)
 
 
 def odd_theta_hat(x, y, lag: int) -> complex:
     """Odd correlation theta_hat(lag) = C(lag) - C(lag - N) for lag in [0, N)."""
     a, b = _pair(x, y)
-    l = _check_lag(lag, a.size)
+    l = _integer("lag", lag, 0, a.size - 1)
     return aperiodic_c(a, b, l) - aperiodic_c(a, b, l - a.size)
 
 
@@ -101,10 +95,10 @@ def weyl_c_closed_form(rho_i: float, rho_k: float, lag: int, n_chips: int) -> fl
     DegeneratePhaseWarning is emitted, because the companion bound
     ``cross_bound`` is genuinely infinite there.
     """
-    if not (math.isfinite(rho_i) and math.isfinite(rho_k)):
-        raise ValueError(f"phases must be finite, got rho_i={rho_i}, rho_k={rho_k}")
-    n = int(n_chips)
-    l = _check_lag(lag, n)
+    _finite("rho_i", rho_i)
+    _finite("rho_k", rho_k)
+    n = _integer("n_chips", n_chips, 1)
+    l = _integer("lag", lag, 0, n - 1)
     diff = (rho_k - rho_i) % 1.0
     denom = math.sin(math.pi * diff)
     if denom == 0.0:
@@ -124,8 +118,8 @@ def cross_bound(rho_i: float, rho_k: float) -> float:
     phases coincide mod 1: the bound is infinite and callers must not
     treat it as finite.
     """
-    if not (math.isfinite(rho_i) and math.isfinite(rho_k)):
-        raise ValueError(f"phases must be finite, got rho_i={rho_i}, rho_k={rho_k}")
+    _finite("rho_i", rho_i)
+    _finite("rho_k", rho_k)
     diff = abs(rho_i - rho_k) % 1.0
     d = min(diff, 1.0 - diff)
     s = math.sin(math.pi * d)

@@ -15,10 +15,11 @@ and the KKT check take their pairs from np.triu_indices(K, 1).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from weylcdma.sequences import _finite, _integer
 
 __all__ = [
     "PhaseAssignment",
@@ -102,13 +103,6 @@ def objective(assignment) -> float:
     return float(_pair_sum(rhos[:, None])[0])
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a non-integer (numpy integers pass) is a ValueError naming the field."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, np.ndarray]:
     """Closed-form minimizer: equispaced phases gamma + (i-1)/K (mod 1).
 
@@ -119,11 +113,8 @@ def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, np.nda
     for i < k, which equals d(rho_i, rho_k) at this solution, and zeros
     elsewhere.
     """
-    k = _integer("n_users", n_users)
-    if k < 2:
-        raise ValueError("n_users must be >= 2")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
+    k = _integer("n_users", n_users, 2)
+    _finite("gamma", gamma)
     base = (gamma % 1.0) % (1.0 / k)
     rhos = base + np.arange(k, dtype=np.float64) / k
     rhos = np.minimum(rhos, np.nextafter(1.0, 0.0))  # guard rounding at the top edge
@@ -142,9 +133,8 @@ def _alpha(t):
 
 def alpha_tilde(m: int, n_users: int) -> float:
     """Multiplier magnitude for a pair with index gap m; symmetric under m <-> K-m."""
-    k, m = _integer("n_users", n_users), _integer("m", m)
-    if not 1 <= m <= k - 1:
-        raise ValueError(f"gap must lie in [1, {k - 1}], got {m}")
+    k = _integer("n_users", n_users, 2)
+    m = _integer("m", m, 1, k - 1)
     return float(_alpha(min(m / k, 1.0 - m / k)))
 
 
@@ -158,7 +148,7 @@ def construct_multipliers(
     mu carries it; for even K the antipodal gap m = K/2 has both
     constraints active and the weight splits evenly.
     """
-    k = _integer("n_users", n_users)
+    k = _integer("n_users", n_users, 1)
     _, t = solution
     i, j = np.triu_indices(k, 1)
     gap = j - i
@@ -230,10 +220,8 @@ def verify_optimality_by_sampling(n_users: int, samples: int, seed: int) -> Samp
     the closed-form optimum by more than 1e-12.  Samples are drawn
     vectorized from one seeded PCG64 stream.
     """
-    k = _integer("n_users", n_users)
-    samples, seed = _integer("samples", samples), _integer("seed", seed)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    k = _integer("n_users", n_users, 2)
+    samples, seed = _integer("samples", samples, 1), _integer("seed", seed, 0)
     assign, _ = global_solution(k, 0.0)
     opt = objective(assign)
     rng = np.random.default_rng(seed)

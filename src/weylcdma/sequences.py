@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,22 @@ __all__ = [
 ]
 
 UNIT_MODULUS_TOL = 1e-12
+
+
+def _integer(name: str, value, low, high=math.inf) -> int:
+    """value as an int; a ValueError naming the field unless it is an integer in [low, high].
+
+    numpy integers pass; a float does not, even a whole one, so nothing is truncated.
+    """
+    if not (isinstance(value, numbers.Integral) and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value) -> None:
+    """A ValueError naming the field unless value is a finite real."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 class AssignmentPolicy(str, enum.Enum):
@@ -78,8 +95,7 @@ class WeylParams:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
-        if int(self.n_chips) < 1:
-            raise ValueError("n_chips must be a positive integer")
+        _integer("n_chips", self.n_chips, 1)
 
 
 @dataclass(frozen=True)
@@ -98,18 +114,16 @@ class FZCParams:
     n_chips: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.m_k):
-            raise ValueError("m_k must be finite")
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ValueError("p and q must be finite reals")
+        _finite("m_k", self.m_k)
+        _finite("p", self.p)
+        _finite("q", self.q)
         if self.r is not None:
             r = float(self.r)
             if math.isinf(r) and r < 0:
                 object.__setattr__(self, "r", None)
             elif not math.isfinite(r):
                 raise ValueError("r must be finite, -inf, or None")
-        if int(self.n_chips) < 1:
-            raise ValueError("n_chips must be a positive integer")
+        _integer("n_chips", self.n_chips, 1)
         if self.m_k < 0 and self.p != int(self.p):
             raise ValueError("negative m_k requires an integer exponent p")
 
@@ -124,16 +138,10 @@ class OptimalWeylParams:
     n_chips: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
-        if int(self.k_max) < 1:
-            raise ValueError("k_max must be a positive integer")
-        if not 0 <= int(self.sigma_k) < int(self.k_max):
-            raise ValueError(
-                f"sigma_k must lie in [0, k_max), got {self.sigma_k} with k_max={self.k_max}"
-            )
-        if int(self.n_chips) < 1:
-            raise ValueError("n_chips must be a positive integer")
+        _finite("gamma", self.gamma)
+        k_max = _integer("k_max", self.k_max, 1)
+        _integer("sigma_k", self.sigma_k, 0, k_max - 1)
+        _integer("n_chips", self.n_chips, 1)
 
 
 def weyl_sequence(params: WeylParams) -> ChipSequence:
@@ -186,9 +194,7 @@ def van_der_corput(index: int) -> float:
     Returns the base-2 radical inverse of (index - 1); exact because all
     values are dyadic rationals.
     """
-    if index < 1:
-        raise ValueError("index must be >= 1")
-    n = int(index) - 1
+    n = _integer("index", index, 1) - 1
     value = 0.0
     scale = 0.5
     while n:
@@ -206,12 +212,11 @@ def vdc_assignment(n_users: int, n_chips: int) -> np.ndarray:
     values enumerate {0, ..., N-1} without repeats, so any user prefix is
     near-equispaced.
     """
-    n = int(n_chips)
-    if n < 4 or n & (n - 1):
+    n = _integer("n_chips", n_chips, 4)
+    if n & (n - 1):
         raise ValueError(f"n_chips must be a power of two >= 4, got {n_chips}")
-    if not 1 <= n_users <= n:
-        raise ValueError(f"n_users must lie in [1, {n}], got {n_users}")
-    sigma = np.array([int(n * van_der_corput(k)) for k in range(1, n_users + 1)], dtype=np.int64)
+    k = _integer("n_users", n_users, 1, n)
+    sigma = np.array([int(n * van_der_corput(i)) for i in range(1, k + 1)], dtype=np.int64)
     return sigma
 
 
@@ -261,26 +266,22 @@ def gold_code(
     degree-5 preferred pair is built in; other degrees require the caller
     to supply both feedback tap sets.
     """
+    m = _integer("register_degree", register_degree, 1)
     if taps is None:
-        taps = _PREFERRED_TAPS.get(int(register_degree))
+        taps = _PREFERRED_TAPS.get(m)
         if taps is None:
-            raise ValueError(
-                f"no built-in preferred pair for degree {register_degree}; supply taps"
-            )
-    n = (1 << register_degree) - 1
-    family = gold_family_size(register_degree)
-    if not 0 <= code_index < family:
-        raise ValueError(f"code_index must lie in [0, {family}), got {code_index}")
-    u = _m_sequence(taps[0], register_degree)
-    v = _m_sequence(taps[1], register_degree)
-    if code_index == 0:
+            raise ValueError(f"no built-in preferred pair for degree {m}; supply taps")
+    index = _integer("code_index", code_index, 0, gold_family_size(m) - 1)
+    u = _m_sequence(taps[0], m)
+    v = _m_sequence(taps[1], m)
+    if index == 0:
         bits = u
-    elif code_index == 1:
+    elif index == 1:
         bits = v
     else:
-        bits = u ^ np.roll(v, -(code_index - 2))
+        bits = u ^ np.roll(v, -(index - 2))
     chips = (1.0 - 2.0 * bits.astype(np.float64)).astype(np.complex128)
-    return ChipSequence(chips, family_tag=f"gold(m={register_degree},index={code_index})")
+    return ChipSequence(chips, family_tag=f"gold(m={m},index={index})")
 
 
 def gold_family(

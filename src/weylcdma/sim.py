@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +50,8 @@ from weylcdma.sequences import (
     AssignmentPolicy,
     OptimalWeylParams,
     FZCParams,
+    _finite,
+    _integer,
     fzc_family_sequence,
     gold_family,
     gold_family_size,
@@ -153,8 +154,8 @@ class SweepRow:
 
 def wilson_interval(errors: int, n: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
+    errors = _integer("errors", errors, 0, n)
     p = errors / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -212,27 +213,16 @@ def build_pool(config: SimConfig) -> np.ndarray:
 
 def _check_fields(config: SimConfig) -> None:
     """The integer fields' types and ranges."""
-    for name in ("n_users", "n_chips", "trials", "seed", "k_max"):
-        value = getattr(config, name)
-        if not (isinstance(value, numbers.Integral) or (name == "k_max" and value is None)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if config.n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    if config.n_chips < 2:
-        raise ValueError("n_chips must be >= 2")
-    if config.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if config.seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    if config.k_max is not None and config.k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {config.k_max}")
+    for name, low in (("n_users", 1), ("n_chips", 2), ("trials", 1), ("seed", 0)):
+        _integer(name, getattr(config, name), low)
+    if config.k_max is not None:
+        _integer("k_max", config.k_max, 1)
 
 
 def _validate(config: SimConfig) -> None:
     # family rules live in _family_pool, E/N0 in LinkBudget.from_db, vdc slots in vdc_assignment
     _check_fields(config)
-    if not math.isfinite(config.gamma):
-        raise ValueError(f"gamma must be finite, got {config.gamma}")
+    _finite("gamma", config.gamma)
     policy = AssignmentPolicy(config.policy)
     capacity = _family_pool(config)[0]
     if policy is AssignmentPolicy.VAN_DER_CORPUT and (

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from weylcdma.correlation import r_ik
+from weylcdma.sequences import _finite, _integer
 
 __all__ = [
     "LinkBudget",
@@ -44,10 +45,8 @@ class LinkBudget:
     def __post_init__(self) -> None:
         if not self.e_over_n0 > 0:
             raise ValueError("e_over_n0 must be positive")
-        if int(self.n_chips) < 2:
-            raise ValueError("n_chips must be >= 2")
-        if int(self.n_users) < 1:
-            raise ValueError("n_users must be >= 1")
+        _integer("n_chips", self.n_chips, 2)
+        _integer("n_users", self.n_users, 1)
 
     @classmethod
     def from_db(cls, ebn0_db: float, n_chips: int, n_users: int) -> "LinkBudget":
@@ -83,9 +82,8 @@ def pursley_snr(user_i: int, family, budget: LinkBudget) -> float:
     n = codes[0].size
     if any(c.size != n for c in codes):
         raise ValueError("all codes in the family must have equal length")
-    if not 0 <= user_i < len(codes):
-        raise ValueError(f"user_i must lie in [0, {len(codes)}), got {user_i}")
-    mai = sum(r_ik(codes[user_i], c) for k, c in enumerate(codes) if k != user_i)
+    i = _integer("user_i", user_i, 0, len(codes) - 1)
+    mai = sum(r_ik(codes[i], c) for k, c in enumerate(codes) if k != i)
     return (mai / (6.0 * n**3) + budget.noise_term) ** -0.5
 
 
@@ -99,26 +97,22 @@ def expected_weyl_snr(
     exact when all N slots are occupied (K = N) and a good approximation
     for K/N near 1.
     """
-    k, n = int(n_users), int(n_chips)
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    if not 0 <= int(sigma_i) < n:
-        raise ValueError(f"sigma_i must lie in [0, {n}), got {sigma_i}")
-    if not 1 <= k <= n:
-        raise ValueError(f"n_users must lie in [1, n_chips={n}], got {k}")
+    _finite("gamma", gamma)
+    n = _integer("n_chips", n_chips, 1)
+    si = _integer("sigma_i", sigma_i, 0, n - 1)
+    k = _integer("n_users", n_users, 1, n)
     if k == 1:
         r_i = 0.0
     else:
-        cos_term = math.cos(2.0 * math.pi * (gamma + sigma_i / n))
+        cos_term = math.cos(2.0 * math.pi * (gamma + si / n))
         r_i = (k - 1) / (18.0 * n**2) * (2.0 * (n + 1) + (n - 2) * cos_term)
     return (r_i + budget.noise_term) ** -0.5
 
 
 def snr_lower_bound(n_users: int, n_chips: int, budget: LinkBudget) -> float:
     """Worst-slot SNR bound {(K-1)/(6N) + N0/2E}^(-1/2) for K distinct slots out of N."""
-    k, n = int(n_users), int(n_chips)
-    if not 1 <= k <= n:
-        raise ValueError(f"n_users must lie in [1, n_chips={n}], got {k}")
+    n = _integer("n_chips", n_chips, 1)
+    k = _integer("n_users", n_users, 1, n)
     return ((k - 1) / (6.0 * n) + budget.noise_term) ** -0.5
 
 
@@ -129,8 +123,7 @@ def csc2_sum(n: int) -> float:
     smaller argument, which keeps the large terms near the ends well
     conditioned.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _integer("n", n, 2)
     k = np.arange(1, n)
     frac = np.minimum(k, n - k) / n
     return float(np.sum(1.0 / np.sin(np.pi * frac) ** 2))
@@ -144,10 +137,10 @@ def r_ik_closed(sigma_i: int, sigma_k: int, gamma: float, n_chips: int) -> float
     as 2 sin^2(pi d) with d the wrap-around slot distance.  Coincident
     slots are rejected (the model assumes distinct slots).
     """
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    n = int(n_chips)
-    si, sk = int(sigma_i) % n, int(sigma_k) % n
+    _finite("gamma", gamma)
+    n = _integer("n_chips", n_chips, 2)
+    si = _integer("sigma_i", sigma_i, -math.inf) % n
+    sk = _integer("sigma_k", sigma_k, -math.inf) % n
     if si == sk:
         raise ValueError("sigma_i and sigma_k must be distinct mod N")
     gap = abs(sk - si)
@@ -169,12 +162,10 @@ def expected_r_sum_terms(
     (coupling term, cosine term): the first equals 2N(N+1)(K-1)/3 and the
     second N(N-2)(K-1)/3 * cos(2 pi (gamma + sigma_i/N)).
     """
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    k, n = int(n_users), int(n_chips)
-    if not 2 <= k <= n:
-        raise ValueError(f"n_users must lie in [2, n_chips={n}], got {k}")
-    si = int(sigma_i) % n
+    _finite("gamma", gamma)
+    n = _integer("n_chips", n_chips, 2)
+    k = _integer("n_users", n_users, 2, n)
+    si = _integer("sigma_i", sigma_i, -math.inf) % n
     weight = (k - 1) / (n - 1)
     coupling = 0.0
     cosine = 0.0

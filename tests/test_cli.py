@@ -122,6 +122,11 @@ class TestSolve:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and "gamma" in err
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["solve", "--k", "3", "--seed", "-1"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("weylcdma: seed must be")
+
 
 class TestSnr:
     def test_table_shape_and_bound(self, capsys):

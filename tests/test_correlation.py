@@ -235,6 +235,23 @@ def test_closed_forms_reject_nonfinite_phase(func, args):
         func(*args)
 
 
+X8, Y8 = weyl_sequence(WeylParams(0.2, 0.0, 8)), weyl_sequence(WeylParams(0.45, 0.1, 8))
+
+
+@pytest.mark.parametrize("make, good, field, outside", [
+    (lambda lag: aperiodic_c(X8, Y8, lag), dict(lag=-3), "lag", None),  # C is 0 for |lag| >= N
+    (lambda lag: periodic_theta(X8, Y8, lag), dict(lag=3), "lag", 8),
+    (lambda lag: odd_theta_hat(X8, Y8, lag), dict(lag=3), "lag", -1),
+    (weyl_c_closed_form, dict(rho_i=0.1, rho_k=0.35, lag=3, n_chips=8), "lag", 8),
+    (weyl_c_closed_form, dict(rho_i=0.1, rho_k=0.35, lag=3, n_chips=8), "n_chips", 0),
+])
+def test_lags_and_lengths_must_be_integers(make, good, field, outside):
+    for bad in (good[field] + 0.5, float(good[field])) + (() if outside is None else (outside,)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make(**{**good, field: bad})
+    assert make(**{**good, field: np.int64(good[field])}) == make(**good)
+
+
 class TestInterferenceMoment:
     def test_matches_brute_force_on_gold_pair(self):
         x, y = gold_code(5, 4), gold_code(5, 9)

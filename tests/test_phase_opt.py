@@ -152,12 +152,24 @@ class TestGlobalSolution:
         for call, field in (
             (lambda: global_solution(3.7, 0.0), "n_users"),
             (lambda: global_solution(3.0, 0.0), "n_users"),
+            (lambda: global_solution(1, 0.0), "n_users"),
             (lambda: alpha_tilde(1, 4.5), "n_users"),
+            (lambda: alpha_tilde(1, 4.0), "n_users"),
             (lambda: alpha_tilde(1.5, 4), "m"),
+            (lambda: alpha_tilde(1.0, 4), "m"),
+            (lambda: alpha_tilde(4, 4), "m"),
+            (lambda: construct_multipliers(2.5, global_solution(3, 0.0)), "n_users"),
             (lambda: construct_multipliers(3.0, global_solution(3, 0.0)), "n_users"),
+            (lambda: construct_multipliers(0, global_solution(3, 0.0)), "n_users"),
             (lambda: verify_optimality_by_sampling(3.7, 10, 0), "n_users"),
+            (lambda: verify_optimality_by_sampling(3.0, 10, 0), "n_users"),
+            (lambda: verify_optimality_by_sampling(1, 10, 0), "n_users"),
             (lambda: verify_optimality_by_sampling(3, 2.5, 0), "samples"),
+            (lambda: verify_optimality_by_sampling(3, 10.0, 0), "samples"),
+            (lambda: verify_optimality_by_sampling(3, 0, 0), "samples"),
             (lambda: verify_optimality_by_sampling(3, 10, 1.5), "seed"),
+            (lambda: verify_optimality_by_sampling(3, 10, 1.0), "seed"),
+            (lambda: verify_optimality_by_sampling(3, 10, -1), "seed"),
             (lambda: verify_optimality_by_sampling(3, "10", 0), "samples"),
         ):
             with pytest.raises(ValueError, match=field):
@@ -167,6 +179,10 @@ class TestGlobalSolution:
         assert verify_optimality_by_sampling(np.int64(5), np.int32(100), np.uint8(3)) == ref
         assert alpha_tilde(np.int64(2), np.int64(5)) == alpha_tilde(2, 5)
         np.testing.assert_array_equal(global_solution(np.int64(4), 0.1)[1], global_solution(4, 0.1)[1])
+        sol = global_solution(4, 0.1)
+        ref, res = construct_multipliers(4, sol), construct_multipliers(np.int64(4), sol)
+        np.testing.assert_array_equal(res.lam, ref.lam)
+        np.testing.assert_array_equal(res.mu, ref.mu)
 
     def test_rejects_nonfinite_phases_and_gamma(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):

@@ -120,6 +120,11 @@ class TestFZC:
             FZCParams(m_k=float("nan"), p=2.0, q=1.0, r=None, n_chips=4)
         with pytest.raises(ValueError):
             FZCParams(m_k=float("inf"), p=2.0, q=1.0, r=None, n_chips=4)
+        good = dict(m_k=1.0, p=2.0, q=1.0, r=None, n_chips=4)
+        for field in ("m_k", "p", "q"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    FZCParams(**{**good, field: bad})
 
 
 class TestOptimalWeyl:
@@ -257,6 +262,30 @@ class TestChipSequence:
 
     def test_len(self):
         assert len(weyl_sequence(WeylParams(0.25, 0.0, 9))) == 9
+
+
+@pytest.mark.parametrize("make, good, field, outside", [
+    (lambda **kw: weyl_sequence(WeylParams(**kw)), dict(rho=0.1, delta=0.0, n_chips=2), "n_chips", 0),
+    (lambda **kw: fzc_family_sequence(FZCParams(**kw)),
+     dict(m_k=1.0, p=2.0, q=1.0, r=None, n_chips=8), "n_chips", 0),
+    *[(lambda **kw: optimal_weyl_sequence(OptimalWeylParams(**kw)),
+       dict(gamma=0.1, sigma_k=1, k_max=4, n_chips=8), field, outside)
+      for field, outside in (("sigma_k", 4), ("sigma_k", -1), ("k_max", 0), ("n_chips", 0))],
+    (gold_code, dict(register_degree=5, code_index=2), "code_index", 33),
+    (gold_code, dict(register_degree=5, code_index=7), "register_degree", 0),
+    (van_der_corput, dict(index=6), "index", 0),
+    (vdc_assignment, dict(n_users=3, n_chips=8), "n_users", 9),
+    (vdc_assignment, dict(n_users=3, n_chips=8), "n_chips", 2),
+])
+def test_counts_and_indices_must_be_integers_in_range(make, good, field, outside):
+    # a float is never truncated: n_chips=2.5 must not give a 3-chip code, sigma_k=1.5
+    # a code off the slot grid, nor code_index=2.5 a Gold code
+    for bad in (good[field] + 0.5, float(good[field]), outside):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make(**{**good, field: bad})
+    ref, res = make(**good), make(**{**good, field: np.int64(good[field])})
+    np.testing.assert_array_equal(getattr(res, "chips", res), getattr(ref, "chips", ref))
+    assert getattr(res, "family_tag", None) == getattr(ref, "family_tag", None)
 
 
 def test_assignment_policy_values():

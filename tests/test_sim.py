@@ -563,9 +563,10 @@ class TestValidation:
                 run_ber(cfg)
             with pytest.raises(ValueError, match="gamma must be finite"):
                 sweep(cfg, "users", [2, 3])
-        for field, value in (("n_users", 2.5), ("n_users", 2.0), ("n_chips", 16.0),
-                             ("trials", 10.0), ("seed", 1.5), ("k_max", 16.0), ("k_max", "16"),
-                             ("k_max", 0), ("k_max", -3)):
+        for field, value in (("n_users", 2.5), ("n_users", 2.0), ("n_chips", 16.5),
+                             ("n_chips", 16.0), ("trials", 10.5), ("trials", 10.0), ("seed", 1.5),
+                             ("seed", 0.0), ("seed", -1), ("k_max", 16.5), ("k_max", 16.0),
+                             ("k_max", "16"), ("k_max", 0), ("k_max", -3)):
             with pytest.raises(ValueError, match=field):
                 run_ber(SimConfig(**dict(good, **{field: value})))
         with pytest.raises(ValueError, match="k_max"):
@@ -635,3 +636,11 @@ class TestWilson:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+    def test_counts_must_be_integers_with_errors_at_most_n(self):
+        for field, errors, n in (("errors", 2.5, 10), ("errors", 2.0, 10), ("n", 2, 10.5),
+                                 ("n", 2, 10.0), ("errors", -1, 10), ("errors", 11, 10),
+                                 ("n", 0, -5)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                wilson_interval(errors, n)
+        assert wilson_interval(np.int64(3), np.int64(40)) == wilson_interval(3, 40)

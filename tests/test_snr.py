@@ -132,6 +132,38 @@ def test_closed_forms_reject_nonfinite_gamma(func, args):
         func(*args)
 
 
+BUDGET = LinkBudget.from_db(10.0, 31, 5)
+
+
+@pytest.mark.parametrize("make, good, field, outside", [
+    (LinkBudget, dict(e_over_n0=10.0, n_chips=31, n_users=5), "n_chips", 1),
+    (LinkBudget, dict(e_over_n0=10.0, n_chips=31, n_users=5), "n_users", 0),
+    (lambda **kw: pursley_snr(family=slot_family(0.1, 8), budget=BUDGET, **kw),
+     dict(user_i=2), "user_i", 8),
+    *[(lambda **kw: expected_weyl_snr(gamma=0.1, budget=BUDGET, **kw),
+       dict(sigma_i=3, n_users=5, n_chips=31), field, outside)
+      for field, outside in (("sigma_i", 31), ("n_users", 32), ("n_chips", 0))],
+    *[(lambda **kw: snr_lower_bound(budget=BUDGET, **kw), dict(n_users=2, n_chips=31), field, outside)
+      for field, outside in (("n_users", 0), ("n_chips", 0))],
+    (csc2_sum, dict(n=4), "n", 1),
+    *[(lambda **kw: r_ik_closed(gamma=0.1, **kw), dict(sigma_i=3, sigma_k=5, n_chips=31),
+       field, outside) for field, outside in (("sigma_i", None), ("sigma_k", None), ("n_chips", 1))],
+    *[(lambda **kw: expected_r_sum_terms(gamma=0.1, **kw), dict(sigma_i=3, n_users=5, n_chips=31),
+       field, outside) for field, outside in (("sigma_i", None), ("n_users", 1), ("n_chips", 1))],
+])
+def test_counts_and_indices_must_be_integers(make, good, field, outside):
+    # a float is never truncated: snr_lower_bound(2.5, 31, b) must not give the K = 2 value
+    for bad in (good[field] + 0.5, float(good[field])) + (() if outside is None else (outside,)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make(**{**good, field: bad})
+    assert make(**{**good, field: np.int64(good[field])}) == make(**good)
+
+
+def test_slot_indices_wrap_mod_n():
+    assert r_ik_closed(-28, 36, 0.1, 31) == r_ik_closed(3, 5, 0.1, 31)
+    assert expected_r_sum_terms(-28, 0.1, 5, 31) == expected_r_sum_terms(3, 0.1, 5, 31)
+
+
 class TestExpectedWeylSnr:
     def test_worst_cosine_value(self):
         # gamma + sigma_i/N = 1/2 puts the cosine at -1: R = (K-1)(N+4)/(18 N^2)
@@ -191,7 +223,7 @@ class TestSnrLowerBound:
         # the (K-1)/(6N) worst-slot term assumes K distinct slots out of N
         for k in (0, 32, 40):
             budget = LinkBudget.from_db(10.0, 31, max(k, 1))
-            with pytest.raises(ValueError, match=r"n_users must lie in \[1, n_chips=31\]"):
+            with pytest.raises(ValueError, match=r"n_users must be an integer in \[1, 31\]"):
                 snr_lower_bound(k, 31, budget)
 
 
