@@ -23,6 +23,7 @@ from weylcdma import __version__
 from weylcdma.correlation import correlation_profile, cross_bound
 from weylcdma.phase_opt import global_solution, objective, kkt_residual, construct_multipliers, verify_optimality_by_sampling
 from weylcdma.sequences import (
+    AssignmentPolicy,
     FZCParams,
     OptimalWeylParams,
     WeylParams,
@@ -172,7 +173,6 @@ def _write_sweep(config: SimConfig, axis: str, values, out: str | None, **extra)
         "ebn0_db": config.ebn0_db,
         "trials": config.trials,
         "seed": config.seed,
-        "sigma_mode": "per-trial" if config.redraw_sigma else "fixed",
         **extra,
     }
     columns = [f.name for f in dataclasses.fields(SweepRow)]
@@ -193,7 +193,6 @@ def _cmd_ber_sweep(args) -> int:
         policy=args.policy,
         gamma=args.gamma,
         k_max=args.kmax,
-        redraw_sigma=(args.sigma_mode == "per-trial"),
     )
     _write_sweep(config, args.axis, values, args.out)
     return 0
@@ -286,17 +285,7 @@ def run_preset(
 
 
 def _cmd_preset(args) -> int:
-    try:
-        _preset_curves(args.name)
-    except KeyError:
-        print(f"preset: unknown preset {args.name!r} (choose fig1..fig4)", file=sys.stderr)
-        return 2
-    try:
-        written = run_preset(args.name, args.out_dir, trials=args.trials, seed=args.seed)
-    except OSError as exc:
-        print(f"preset: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    for path in written:
+    for path in run_preset(args.name, args.out_dir, trials=args.trials, seed=args.seed):
         print(path)
     return 0
 
@@ -365,24 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--family", choices=("weyl", "optimal", "fzc", "gold"), default="weyl")
     b.add_argument("--gamma", type=float, default=0.0)
     b.add_argument("--kmax", type=int)
-    b.add_argument("--policy", choices=("random", "vdc", "sequential"), default="random")
+    b.add_argument("--policy", choices=[p.value for p in AssignmentPolicy], default="random")
     b.add_argument("--n", type=int, default=31)
     b.add_argument("--k", type=int, default=4)
     b.add_argument("--ebn0-db", dest="ebn0_db", type=float, default=25.0)
     b.add_argument("--trials", type=int, default=10_000)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument(
-        "--sigma-mode",
-        dest="sigma_mode",
-        choices=("per-trial", "fixed"),
-        default="per-trial",
-        help="random policy: redraw slots each trial (default) or fix one draw",
-    )
     _add_out(b)
     b.set_defaults(func=_cmd_ber_sweep)
 
     p = sub.add_parser("preset", help="run a named experiment preset (fig1..fig4)")
-    p.add_argument("name", help="fig1 | fig2 | fig3 | fig4")
+    p.add_argument("name", choices=("fig1", "fig2", "fig3", "fig4"))
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_PRESET_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_PRESET_SEED)

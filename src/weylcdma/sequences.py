@@ -58,6 +58,7 @@ class AssignmentPolicy(str, enum.Enum):
     """How slot values sigma_k are handed out to users."""
 
     RANDOM = "random"          # sampled without replacement, fresh per trial
+    FIXED = "fixed"            # sampled without replacement once per run
     VAN_DER_CORPUT = "vdc"     # sigma_k = N * v_k, k-th radical-inverse value
     SEQUENTIAL = "sequential"  # sigma_k = k - 1
 

@@ -90,12 +90,17 @@ _GOLD_DEGREE = 5  # the one register degree with a built-in preferred pair
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run.
+    """One simulation run, checked when it is made.
 
     family kinds: "weyl" (slot pool of size k_max, default N), "optimal"
     (weyl with k_max = K), "fzc" (one code per index m coprime to N, with
     the exponent triple ``_FZC_TRIPLE``), "gold" (all N+2 members of the
     built-in degree-5 family, so N = 31).  k_max is for weyl and optimal only.
+    policies: "random" (slots sampled without replacement, fresh each trial),
+    "fixed" (sampled once per run), "sequential" (sigma_k = k - 1), "vdc"
+    (Van der Corput slots; weyl with k_max = N, a power of two).  Only
+    n_users beyond the pool's capacity is left to the run, so that
+    ``family_capacity`` answers for any user count.
     """
 
     n_users: int
@@ -107,7 +112,20 @@ class SimConfig:
     policy: str = "random"
     gamma: float = 0.0
     k_max: int | None = None
-    redraw_sigma: bool = True  # random policy: fresh slots each trial
+
+    def __post_init__(self) -> None:
+        for name, low in (("n_users", 1), ("n_chips", 2), ("trials", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), low)
+        if self.k_max is not None:
+            _integer("k_max", self.k_max, 1)
+        _finite("gamma", self.gamma)
+        LinkBudget.from_db(self.ebn0_db, self.n_chips, self.n_users)  # raises on a bad E/N0
+        policy = AssignmentPolicy(self.policy)
+        capacity = _family_pool(self)[0]  # raises on the family kind's own rules
+        if policy is AssignmentPolicy.VAN_DER_CORPUT:
+            if self.family != "weyl" or capacity != self.n_chips:
+                raise ValueError("vdc policy applies to the weyl family with k_max = n_chips")
+            vdc_assignment(1, self.n_chips)  # raises unless N is a power of two
 
 
 @dataclass(frozen=True)
@@ -201,50 +219,34 @@ def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndar
 
 def family_capacity(config: SimConfig) -> int:
     """Largest user count the configured family pool can serve (builds no pool)."""
-    _check_fields(config)
     return _family_pool(config)[0]
+
+
+def _serving_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndarray]]]:
+    """``_family_pool`` of a config, after checking that the pool can serve its n_users."""
+    pool = _family_pool(config)
+    if config.n_users > pool[0]:
+        raise ValueError(
+            f"n_users={config.n_users} exceeds the {config.family} family capacity {pool[0]}"
+        )
+    return pool
 
 
 def build_pool(config: SimConfig) -> np.ndarray:
     """Materialize the family's candidate codes as an (F, N) complex array."""
-    _validate(config)
-    return np.vstack(_family_pool(config)[2]())
-
-
-def _check_fields(config: SimConfig) -> None:
-    """The integer fields' types and ranges."""
-    for name, low in (("n_users", 1), ("n_chips", 2), ("trials", 1), ("seed", 0)):
-        _integer(name, getattr(config, name), low)
-    if config.k_max is not None:
-        _integer("k_max", config.k_max, 1)
-
-
-def _validate(config: SimConfig) -> None:
-    # family rules live in _family_pool, E/N0 in LinkBudget.from_db, vdc slots in vdc_assignment
-    _check_fields(config)
-    _finite("gamma", config.gamma)
-    policy = AssignmentPolicy(config.policy)
-    capacity = _family_pool(config)[0]
-    if policy is AssignmentPolicy.VAN_DER_CORPUT and (
-        config.family != "weyl" or capacity != config.n_chips
-    ):
-        raise ValueError("vdc policy applies to the weyl family with k_max = n_chips")
-    if config.n_users > capacity:
-        raise ValueError(
-            f"n_users={config.n_users} exceeds the {config.family} family capacity {capacity}"
-        )
+    return np.vstack(_serving_pool(config)[2]())
 
 
 def _fixed_assignment(config: SimConfig, pool_size: int) -> np.ndarray | None:
-    """Per-run slot assignment, or None when slots are redrawn each trial."""
+    """Per-run slot assignment, or None under the random policy (fresh slots each trial)."""
     policy = AssignmentPolicy(config.policy)
     k = config.n_users
+    if policy is AssignmentPolicy.RANDOM:
+        return None
     if policy is AssignmentPolicy.SEQUENTIAL:
         return np.arange(k, dtype=np.int64)
     if policy is AssignmentPolicy.VAN_DER_CORPUT:
         return vdc_assignment(k, config.n_chips)
-    if config.redraw_sigma:
-        return None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     return np.asarray(rng.permutation(pool_size)[:k], dtype=np.int64)
 
@@ -261,6 +263,8 @@ def interference(i: int, k: int, draw: TrialDraw, seqs) -> complex:
                     + ((l+1) Tc - tau_k)(b_prev C(l+1) + b_cur C(l+1-N))]
     with l = floor(tau_k / Tc).
     """
+    i = _integer("i", i, 0, len(seqs) - 1)
+    k = _integer("k", k, 0, len(seqs) - 1)
     if i == k:
         raise ValueError("interference is defined for k != i")
     x = np.asarray(getattr(seqs[i], "chips", seqs[i]), dtype=np.complex128)
@@ -287,6 +291,7 @@ def decision_statistic(
     User i is the coherent reference (tau_i = 0, phi_i = 0 by convention);
     its own draw entries are ignored.
     """
+    i = _integer("i", i, 0, len(seqs) - 1)
     n = len(np.asarray(getattr(seqs[i], "chips", seqs[i])))
     mai = sum(
         interference(i, k, draw, seqs).real for k in range(len(seqs)) if k != i
@@ -413,15 +418,14 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
     """``run_ber`` of each config; the configs differ only in n_users and ebn0_db.
 
-    Every config is checked before any block runs.  Configs with one pool
-    share a pass at their largest K; each counts errors in its first K
-    columns.
+    Every config's user count is checked against its pool before any block
+    runs.  Configs with one pool share a pass at their largest K; each
+    counts errors in its first K columns.
     """
     ks, stds = [cfg.n_users for cfg in configs], [_noise_std(cfg) for cfg in configs]
     passes: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):
-        _validate(cfg)
-        pool_key = (dataclasses.replace(cfg, n_users=1, ebn0_db=0.0), family_capacity(cfg))
+        pool_key = (dataclasses.replace(cfg, n_users=1, ebn0_db=0.0), _serving_pool(cfg)[0])
         passes.setdefault(pool_key, []).append(i)
     errors = {}
     for members in passes.values():

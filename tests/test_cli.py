@@ -224,7 +224,7 @@ class TestBerSweep:
         assert err.count("\n") == 1 and "'values'" in err
         # argparse checks file values as it checks flags: usage, then one error line
         for cfg, flag in ((dict(values="2", n=31.5), "--n"),
-                          (dict(values="2", sigma_mode="perTrial"), "--sigma-mode")):
+                          (dict(values="2", policy="perTrial"), "--policy")):
             path.write_text(json.dumps(cfg))
             with pytest.raises(SystemExit) as exc:
                 main(["ber-sweep", "--config", str(path)])
@@ -275,6 +275,21 @@ class TestBerSweep:
             assert code == 1 and out == ""
             assert err == f"weylcdma: k_max applies to the weyl and optimal families, not {family}\n"
 
+    def test_fixed_policy_named_once(self, tmp_path, capsys):
+        args = list(self.ARGS)
+        args[args.index("random")] = "fixed"
+        code, out, _ = run_cli(capsys, args)
+        assert code == 0
+        assert "# policy=fixed\n" in out and "sigma_mode" not in out
+        _, rows = data_rows(out)
+        assert [r[2] for r in rows] == ["fixed", "fixed"]
+        # a config file still naming the old per-trial/fixed switch is refused
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(values="2", sigma_mode="fixed")))
+        code, out, err = run_cli(capsys, ["ber-sweep", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err == "weylcdma: ber-sweep: unknown config key 'sigma_mode'\n"
+
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
         code, _, _ = run_cli(capsys, self.ARGS + ["--out", str(out_path)])
@@ -284,10 +299,13 @@ class TestBerSweep:
 
 
 class TestPreset:
-    def test_unknown_preset_exits_nonzero(self, capsys):
-        code, _, err = run_cli(capsys, ["preset", "fig9", "--out-dir", "/tmp/x"])
-        assert code == 2
-        assert "unknown preset" in err
+    def test_unknown_preset_exits_nonzero(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "fig9", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fig9'" in capsys.readouterr().err
+        with pytest.raises(KeyError):
+            run_preset("fig9", str(tmp_path))
 
     def test_unwritable_out_dir_exits_nonzero(self, capsys):
         code = main(["preset", "fig3", "--out-dir", "/proc/definitely/not/writable",
@@ -330,7 +348,7 @@ class TestPreset:
                 for path in sorted(out.iterdir(), key=lambda path: path.name)
             )
             assert hashlib.sha256(listing.encode()).hexdigest() == (
-                "3af357c1b1507b1b10c4a4b5c85f420ef27ea1e7d6ff879d6dbae37c07def5fa"
+                "71f60859a284889c1cb4e5e6f88bdf5db553e03190ec39550c1849537ef722b9"
             ), f"WEYLCDMA_THREADS={threads}"
         assert multi_block["1"] == multi_block["2"]
 

@@ -34,13 +34,11 @@ FAMILIES = [
 @st.composite
 def users_axis_cases(draw):
     family, n, k_max, policies = draw(st.sampled_from(FAMILIES))
-    policy = draw(st.sampled_from(policies))
     cfg = SimConfig(
         n_users=1, n_chips=n, ebn0_db=draw(st.sampled_from([0.0, 6.0, 25.0])),
         trials=draw(st.integers(1, 2200)), seed=draw(st.integers(0, 2**32)),
-        family=family, policy="random" if policy == "fixed" else policy,
+        family=family, policy=draw(st.sampled_from(policies)),
         gamma=draw(st.sampled_from([0.0, 1 / (2 * n), 0.3])), k_max=k_max,
-        redraw_sigma=policy != "fixed",
     )
     capacity = family_capacity(cfg) if family != "optimal" else n
     users = draw(st.lists(st.integers(1, capacity), min_size=1, max_size=4))

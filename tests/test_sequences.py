@@ -289,4 +289,4 @@ def test_counts_and_indices_must_be_integers_in_range(make, good, field, outside
 
 
 def test_assignment_policy_values():
-    assert {p.value for p in AssignmentPolicy} == {"random", "vdc", "sequential"}
+    assert {p.value for p in AssignmentPolicy} == {"random", "fixed", "vdc", "sequential"}

@@ -150,6 +150,18 @@ class TestInterference:
             )
             assert abs(total) <= cap + 1e-9
 
+    def test_rejects_out_of_range_indices(self):
+        # a negative index would wrap to the last user and slip past the i == k guard
+        seqs = slot_family(0.0, 8, [0, 3, 5])
+        draw = make_draw([0.0, 1.5, 2.5], [0.0, 0.4, 0.8], [1, 1, -1], [1, -1, 1], [0, 3, 5])
+        budget = LinkBudget.from_db(10.0, 8, 3)
+        for i, k, field in ((2, -1, "k"), (0, 1.5, "k"), (3, 0, "i"), (-1, 2, "i")):
+            with pytest.raises(ValueError, match=f"{field} must be an integer in \\[0, 2\\]"):
+                interference(i, k, draw, seqs)
+        for i in (-1, 3, 1.0):
+            with pytest.raises(ValueError, match="i must be an integer in \\[0, 2\\]"):
+                decision_statistic(i, draw, seqs, budget, 0.0)
+
     def test_rejects_out_of_range_delay(self):
         seqs = slot_family(0.0, 8, [0, 3])
         draw = make_draw([0.0, 8.0 * TC], [0.0, 0.0], [1, 1], [1, 1], [0, 3])
@@ -275,9 +287,21 @@ class TestRunBer:
 
     def test_fixed_sigma_mode_reuses_one_assignment(self):
         cfg = SimConfig(n_users=3, n_chips=8, ebn0_db=10.0, trials=50, seed=4,
-                        family="weyl", k_max=8, redraw_sigma=False)
+                        family="weyl", k_max=8, policy="fixed")
         draws, _, _ = simulate_trials(cfg)
         assert np.all(draws.sigma == draws.sigma[0])
+
+    def test_fixed_policy_pinned_counts(self):
+        # the per-user error counts and slots the random policy gave with one
+        # draw per run, before "fixed" became a policy of its own
+        cfg = SimConfig(n_users=9, n_chips=31, ebn0_db=6.0, trials=5000, seed=77,
+                        family="weyl", policy="fixed", gamma=1 / 62, k_max=31)
+        res = run_ber(cfg)
+        np.testing.assert_array_equal(res.per_user_ber,
+                                      np.array([25, 46, 19, 16, 44, 16, 16, 19, 24]) / cfg.trials)
+        assert res.error_count == 225
+        draws, _, _ = simulate_trials(dataclasses.replace(cfg, trials=3))
+        np.testing.assert_array_equal(draws.sigma, [[17, 24, 27, 0, 23, 7, 12, 10, 16]] * 3)
 
     def test_sequential_policy(self):
         cfg = SimConfig(n_users=4, n_chips=16, ebn0_db=10.0, trials=10, seed=4,
@@ -326,7 +350,7 @@ PREFIX_BASE = SimConfig(n_users=1, n_chips=16, ebn0_db=6.0, trials=2100, seed=23
 class TestBlockLayout:
     @pytest.mark.parametrize("overrides", [
         dict(policy="random"),
-        dict(policy="random", redraw_sigma=False),
+        dict(policy="fixed"),
         dict(policy="sequential"),
         dict(policy="vdc"),
     ], ids=["random", "fixed-sigma", "sequential", "vdc"])
@@ -471,7 +495,7 @@ class TestSweep:
     @pytest.mark.parametrize("cfg", [
         SimConfig(n_users=5, n_chips=16, ebn0_db=0.0, trials=600, seed=3, gamma=1 / 32, k_max=16),
         SimConfig(n_users=5, n_chips=16, ebn0_db=0.0, trials=600, seed=3, gamma=1 / 32, k_max=16,
-                  redraw_sigma=False),
+                  policy="fixed"),
         SimConfig(n_users=4, n_chips=16, ebn0_db=0.0, trials=600, seed=4, family="optimal",
                   policy="sequential"),
         SimConfig(n_users=9, n_chips=16, ebn0_db=0.0, trials=600, seed=5, policy="vdc", k_max=16),
@@ -558,11 +582,10 @@ class TestValidation:
             with pytest.raises(ValueError):
                 run_ber(SimConfig(**bad))
         for gamma in (math.inf, -math.inf, math.nan):
-            cfg = SimConfig(**dict(good, gamma=gamma))
             with pytest.raises(ValueError, match="gamma must be finite"):
-                run_ber(cfg)
+                run_ber(SimConfig(**dict(good, gamma=gamma)))
             with pytest.raises(ValueError, match="gamma must be finite"):
-                sweep(cfg, "users", [2, 3])
+                sweep(SimConfig(**dict(good, gamma=gamma)), "users", [2, 3])
         for field, value in (("n_users", 2.5), ("n_users", 2.0), ("n_chips", 16.5),
                              ("n_chips", 16.0), ("trials", 10.5), ("trials", 10.0), ("seed", 1.5),
                              ("seed", 0.0), ("seed", -1), ("k_max", 16.5), ("k_max", 16.0),
@@ -571,13 +594,13 @@ class TestValidation:
                 run_ber(SimConfig(**dict(good, **{field: value})))
         with pytest.raises(ValueError, match="k_max"):
             run_ber(SimConfig(**dict(good, family="optimal", k_max=-3)))
-        # family_capacity checks the same fields instead of returning a meaningless size
+        # a config with a bad field never reaches family_capacity to get a meaningless size
         for family, field, value in (("weyl", "k_max", 0), ("weyl", "k_max", 2.5),
                                      ("weyl", "k_max", -3), ("optimal", "n_users", 2.5),
                                      ("optimal", "k_max", 0), ("weyl", "trials", 0)):
-            cfg = SimConfig(**{**good, "family": family, "k_max": None, field: value})
             with pytest.raises(ValueError, match=field):
-                family_capacity(cfg)
+                family_capacity(SimConfig(**{**good, "family": family, "k_max": None,
+                                             field: value}))
         noisy = dict(good, ebn0_db=-3.0, trials=200)
         ints = {f: np.int64(noisy[f]) for f in ("n_users", "n_chips", "trials", "seed", "k_max")}
         ref, res = run_ber(SimConfig(**noisy)), run_ber(SimConfig(**dict(noisy, **ints)))
@@ -585,24 +608,44 @@ class TestValidation:
         np.testing.assert_array_equal(res.per_user_ber, ref.per_user_ber)
         assert res.wilson_95_interval == ref.wilson_95_interval
 
+    def test_config_checks_itself_when_made(self):
+        good = dict(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0, k_max=16)
+        for field, value in (("n_users", 2.5), ("n_chips", 1), ("trials", 0), ("seed", -1),
+                             ("k_max", 0), ("gamma", math.nan), ("ebn0_db", 4000.0),
+                             ("policy", "roundrobin"), ("policy", "per-trial"),
+                             ("family", "walsh")):
+            with pytest.raises(ValueError, match=f"(?i){field}"):  # AssignmentPolicy for policy
+                SimConfig(**dict(good, **{field: value}))
+        for bad, match in ((dict(family="gold", k_max=None), "n_chips = 31"),
+                           (dict(family="fzc", k_max=5), "k_max applies"),
+                           (dict(policy="vdc", k_max=8), "vdc policy applies"),
+                           (dict(policy="vdc", family="optimal", k_max=None), "vdc policy"),
+                           (dict(policy="vdc", n_chips=31, k_max=31), "power of two")):
+            with pytest.raises(ValueError, match=match):
+                SimConfig(**dict(good, **bad))
+        # a user count beyond the pool's capacity is left to the calls that use the pool
+        over = SimConfig(**dict(good, n_users=5, k_max=4))
+        assert family_capacity(over) == 4
+        for call in (run_ber, build_pool, lambda cfg: sweep(cfg, "users", [2, 5])):
+            with pytest.raises(ValueError, match="n_users=5 exceeds the weyl family capacity 4"):
+                call(over)
+
     def test_k_max_rejected_for_kinds_without_slots(self):
         for family in ("gold", "fzc"):
-            cfg = SimConfig(n_users=7, n_chips=31, ebn0_db=10.0, trials=10, seed=0,
-                            family=family, k_max=5)
             for call in (run_ber, family_capacity, build_pool):
                 with pytest.raises(ValueError, match=f"k_max applies .* not {family}"):
-                    call(cfg)
+                    call(SimConfig(n_users=7, n_chips=31, ebn0_db=10.0, trials=10, seed=0,
+                                   family=family, k_max=5))
 
     def test_gold_requires_mersenne_length(self):
         cfg = SimConfig(n_users=2, n_chips=31, ebn0_db=10.0, trials=10, seed=0, family="gold")
         assert family_capacity(cfg) == 33
         # 7, 63 and 127 are 2**m - 1, but only degree 5 has a built-in preferred pair
         for n in (7, 30, 63, 127):
-            bad = dataclasses.replace(cfg, n_chips=n)
             with pytest.raises(ValueError, match="gold family has n_chips = 31"):
-                family_capacity(bad)
+                family_capacity(dataclasses.replace(cfg, n_chips=n))
             with pytest.raises(ValueError, match="gold family has n_chips = 31"):
-                run_ber(bad)
+                run_ber(dataclasses.replace(cfg, n_chips=n))
 
     def test_vdc_requires_power_of_two_and_full_pool(self):
         with pytest.raises(ValueError):
