@@ -157,6 +157,12 @@ def _cmd_snr(args) -> int:
     return 0
 
 
+# SimConfig field -> ber-sweep flag, which is also the field's key in the CSV header
+_SWEEP_FLAGS = {"n_users": "k", "n_chips": "n", "ebn0_db": "ebn0_db", "trials": "trials",
+                "seed": "seed", "family": "family", "policy": "policy", "gamma": "gamma",
+                "k_max": "kmax"}
+
+
 def _write_sweep(config: SimConfig, axis: str, values, out: str | None, **extra) -> None:
     """Run ``sweep`` and write its rows as CSV, every effective parameter in the header."""
     rows = sweep(config, axis, values)
@@ -164,17 +170,11 @@ def _write_sweep(config: SimConfig, axis: str, values, out: str | None, **extra)
         "command": "ber-sweep",
         "axis": axis,
         "values": ",".join(_fmt(v) for v in values),
-        "family": config.family,
-        "policy": config.policy,
-        "gamma": config.gamma,
-        "kmax": config.k_max if config.k_max is not None else "auto",
-        "n": config.n_chips,
-        "k": config.n_users,
-        "ebn0_db": config.ebn0_db,
-        "trials": config.trials,
-        "seed": config.seed,
+        **{flag: getattr(config, field) for field, flag in _SWEEP_FLAGS.items()},
         **extra,
     }
+    if params["kmax"] is None:
+        params["kmax"] = "auto"
     columns = [f.name for f in dataclasses.fields(SweepRow)]
     _emit(_csv_lines(params, columns, map(dataclasses.astuple, rows)), out)
 
@@ -183,17 +183,7 @@ def _cmd_ber_sweep(args) -> int:
     values = [float(v) for v in (args.values or "").split(",") if v]
     if not values:
         raise SystemExit("ber-sweep: --values (flag or config file) must list an axis value")
-    config = SimConfig(
-        n_users=args.k,
-        n_chips=args.n,
-        ebn0_db=args.ebn0_db,
-        trials=args.trials,
-        seed=args.seed,
-        family=args.family,
-        policy=args.policy,
-        gamma=args.gamma,
-        k_max=args.kmax,
-    )
+    config = SimConfig(**{field: getattr(args, flag) for field, flag in _SWEEP_FLAGS.items()})
     _write_sweep(config, args.axis, values, args.out)
     return 0
 

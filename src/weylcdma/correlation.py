@@ -61,6 +61,16 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _codes(family) -> np.ndarray:
+    """A non-empty family of equal-length codes as one (F, N) complex array."""
+    codes = [_chips(s) for s in family]
+    if not codes:
+        raise ValueError("family must contain at least one code")
+    if any(c.size != codes[0].size for c in codes):
+        raise ValueError("all codes in the family must have equal length")
+    return np.vstack(codes)
+
+
 def aperiodic_c(x, y, lag: int) -> complex:
     """Aperiodic partial correlation C_{x,y}(lag); zero for |lag| >= N."""
     a, b = _pair(x, y)
@@ -159,7 +169,7 @@ def aperiodic_table(family) -> np.ndarray:
     Returns an (F, F, 2N+1) complex array T with T[i, k, lag + N] =
     C_{i,k}(lag) for lag in [-N, N]; the lag = +-N planes are zero.
     """
-    x = np.vstack([_chips(s) for s in family])
+    x = _codes(family)
     f, n = x.shape
     table = np.zeros((f, f, 2 * n + 1), dtype=np.complex128)
     xc = np.conj(x)

@@ -41,9 +41,9 @@ UNIT_MODULUS_TOL = 1e-12
 def _integer(name: str, value, low, high=math.inf) -> int:
     """value as an int; a ValueError naming the field unless it is an integer in [low, high].
 
-    numpy integers pass; a float does not, even a whole one, so nothing is truncated.
+    numpy integers pass; a bool does not, nor a float, even a whole one, so nothing is truncated.
     """
-    if not (isinstance(value, numbers.Integral) and low <= value <= high):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and low <= value <= high):
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     return int(value)
 

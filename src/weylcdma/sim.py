@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weylcdma.correlation import aperiodic_c, aperiodic_table, theta_pairs
+from weylcdma.correlation import _chips, _pair, aperiodic_c, aperiodic_table, theta_pairs
 from weylcdma.sequences import (
     AssignmentPolicy,
     OptimalWeylParams,
@@ -120,9 +120,9 @@ class SimConfig:
             _integer("k_max", self.k_max, 1)
         _finite("gamma", self.gamma)
         LinkBudget.from_db(self.ebn0_db, self.n_chips, self.n_users)  # raises on a bad E/N0
-        policy = AssignmentPolicy(self.policy)
+        object.__setattr__(self, "policy", AssignmentPolicy(self.policy).value)  # "fixed", not AssignmentPolicy.FIXED
         capacity = _family_pool(self)[0]  # raises on the family kind's own rules
-        if policy is AssignmentPolicy.VAN_DER_CORPUT:
+        if self.policy == AssignmentPolicy.VAN_DER_CORPUT:
             if self.family != "weyl" or capacity != self.n_chips:
                 raise ValueError("vdc policy applies to the weyl family with k_max = n_chips")
             vdc_assignment(1, self.n_chips)  # raises unless N is a power of two
@@ -170,14 +170,14 @@ class SweepRow:
     bits: int
 
 
-def wilson_interval(errors: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at 95% (z = ``Z95``)."""
     n = _integer("n", n, 1)
     errors = _integer("errors", errors, 0, n)
     p = errors / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    hw = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    denom = 1.0 + Z95 * Z95 / n
+    center = (p + Z95 * Z95 / (2 * n)) / denom
+    hw = (Z95 / denom) * math.sqrt(p * (1.0 - p) / n + Z95 * Z95 / (4.0 * n * n))
     lo = 0.0 if errors == 0 else max(0.0, center - hw)  # exact at the boundaries
     hi = 1.0 if errors == n else min(1.0, center + hw)
     return (lo, hi)
@@ -267,8 +267,7 @@ def interference(i: int, k: int, draw: TrialDraw, seqs) -> complex:
     k = _integer("k", k, 0, len(seqs) - 1)
     if i == k:
         raise ValueError("interference is defined for k != i")
-    x = np.asarray(getattr(seqs[i], "chips", seqs[i]), dtype=np.complex128)
-    y = np.asarray(getattr(seqs[k], "chips", seqs[k]), dtype=np.complex128)
+    x, y = _pair(seqs[i], seqs[k])
     n = x.size
     tau_k = float(draw.tau[k])
     if not 0.0 <= tau_k < n * TC:
@@ -292,7 +291,7 @@ def decision_statistic(
     its own draw entries are ignored.
     """
     i = _integer("i", i, 0, len(seqs) - 1)
-    n = len(np.asarray(getattr(seqs[i], "chips", seqs[i])))
+    n = _chips(seqs[i]).size
     mai = sum(
         interference(i, k, draw, seqs).real for k in range(len(seqs)) if k != i
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weylcdma.correlation import r_ik
+from weylcdma.correlation import _codes, r_ik
 from weylcdma.sequences import _finite, _integer
 
 __all__ = [
@@ -76,12 +76,8 @@ def pursley_snr(user_i: int, family, budget: LinkBudget) -> float:
     SNR_i = {sum_{k != i} r_ik / (6 N^3) + N0/2E}^(-1/2), with r_ik the
     adjacent-lag interference moment evaluated by direct summation.
     """
-    codes = [np.asarray(getattr(s, "chips", s), dtype=np.complex128) for s in family]
-    if not codes:
-        raise ValueError("family must contain at least one code")
-    n = codes[0].size
-    if any(c.size != n for c in codes):
-        raise ValueError("all codes in the family must have equal length")
+    codes = _codes(family)
+    n = codes.shape[1]
     i = _integer("user_i", user_i, 0, len(codes) - 1)
     mai = sum(r_ik(codes[i], c) for k, c in enumerate(codes) if k != i)
     return (mai / (6.0 * n**3) + budget.noise_term) ** -0.5

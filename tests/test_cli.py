@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from weylcdma.cli import main, run_preset
+from weylcdma.cli import _write_sweep, main, run_preset
+from weylcdma.sequences import AssignmentPolicy
+from weylcdma.sim import SimConfig
 
 
 def run_cli(capsys, argv):
@@ -289,6 +291,31 @@ class TestBerSweep:
         code, out, err = run_cli(capsys, ["ber-sweep", "--config", str(path)])
         assert code == 1 and out == ""
         assert err == "weylcdma: ber-sweep: unknown config key 'sigma_mode'\n"
+
+    # every header line and the config hash: a slip in the flag <-> field table shows here
+    @pytest.mark.parametrize("argv, header", [
+        (ARGS, "config=4d62f0e754a7 axis=users command=ber-sweep ebn0_db=20 family=weyl "
+               "gamma=0.03125 k=2 kmax=16 n=16 policy=random seed=7 trials=400 values=2,3"),
+        (["ber-sweep", "--axis", "ebn0", "--values", "0,10", "--family", "optimal", "--gamma",
+          "0.1", "--policy", "fixed", "--n", "16", "--k", "3", "--trials", "300", "--seed", "5"],
+         "config=37966e9115f3 axis=ebn0 command=ber-sweep ebn0_db=25 family=optimal "
+         "gamma=0.1 k=3 kmax=auto n=16 policy=fixed seed=5 trials=300 values=0,10"),
+    ], ids=["kmax", "kmax-auto"])
+    def test_header_block_pinned(self, capsys, argv, header):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        lines = [l for l in out.splitlines() if l.startswith("#")]
+        assert lines == ["# weylcdma 0.1.0"] + [f"# {kv}" for kv in header.split()]
+
+    def test_enum_policy_written_as_its_value(self, tmp_path):
+        texts = []
+        for policy in (AssignmentPolicy.FIXED, "fixed"):
+            config = SimConfig(n_users=2, n_chips=16, ebn0_db=20.0, trials=100, seed=3,
+                               policy=policy)
+            assert type(config.policy) is str
+            _write_sweep(config, "users", [2, 3], str(tmp_path / "rows.csv"))
+            texts.append((tmp_path / "rows.csv").read_text())
+        assert texts[0] == texts[1] and "# policy=fixed\n" in texts[0]
 
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"

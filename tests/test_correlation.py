@@ -287,6 +287,11 @@ class TestTableAndProfile:
                         aperiodic_c(family[i], family[k], lag), abs=1e-12
                     )
 
+    def test_table_rejects_mixed_lengths(self):
+        family = [np.ones(8, dtype=complex), np.ones(9, dtype=complex)]
+        with pytest.raises(ValueError, match="all codes in the family must have equal length"):
+            aperiodic_table(family)
+
     def test_profile_invariants(self):
         rng = np.random.default_rng(12)
         n = 11

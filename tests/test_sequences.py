@@ -279,8 +279,9 @@ class TestChipSequence:
 ])
 def test_counts_and_indices_must_be_integers_in_range(make, good, field, outside):
     # a float is never truncated: n_chips=2.5 must not give a 3-chip code, sigma_k=1.5
-    # a code off the slot grid, nor code_index=2.5 a Gold code
-    for bad in (good[field] + 0.5, float(good[field]), outside):
+    # a code off the slot grid, nor code_index=2.5 a Gold code; nor is a bool a count:
+    # n_chips=True must not give a 1-chip code, nor gold_code(5, True) code 1
+    for bad in (good[field] + 0.5, float(good[field]), outside, True):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make(**{**good, field: bad})
     ref, res = make(**good), make(**{**good, field: np.int64(good[field])})

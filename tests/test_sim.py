@@ -589,7 +589,8 @@ class TestValidation:
         for field, value in (("n_users", 2.5), ("n_users", 2.0), ("n_chips", 16.5),
                              ("n_chips", 16.0), ("trials", 10.5), ("trials", 10.0), ("seed", 1.5),
                              ("seed", 0.0), ("seed", -1), ("k_max", 16.5), ("k_max", 16.0),
-                             ("k_max", "16"), ("k_max", 0), ("k_max", -3)):
+                             ("k_max", "16"), ("k_max", 0), ("k_max", -3),
+                             ("n_users", True), ("trials", True), ("seed", True)):
             with pytest.raises(ValueError, match=field):
                 run_ber(SimConfig(**dict(good, **{field: value})))
         with pytest.raises(ValueError, match="k_max"):

@@ -153,7 +153,7 @@ BUDGET = LinkBudget.from_db(10.0, 31, 5)
 ])
 def test_counts_and_indices_must_be_integers(make, good, field, outside):
     # a float is never truncated: snr_lower_bound(2.5, 31, b) must not give the K = 2 value
-    for bad in (good[field] + 0.5, float(good[field])) + (() if outside is None else (outside,)):
+    for bad in (good[field] + 0.5, float(good[field]), True) + (() if outside is None else (outside,)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make(**{**good, field: bad})
     assert make(**{**good, field: np.int64(good[field])}) == make(**good)
@@ -256,8 +256,12 @@ class TestPursleySnr:
     def test_rejects_mixed_lengths(self):
         budget = LinkBudget.from_db(10.0, 8, 2)
         family = [np.ones(8, dtype=complex), np.ones(9, dtype=complex)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all codes in the family must have equal length"):
             pursley_snr(0, family, budget)
+
+    def test_rejects_empty_family(self):
+        with pytest.raises(ValueError, match="family must contain at least one code"):
+            pursley_snr(0, [], LinkBudget.from_db(10.0, 8, 2))
 
     def test_partial_occupancy_agreement_reported_not_asserted(self):
         # The slot expectation is exact only when every slot is in use;
