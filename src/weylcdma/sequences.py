@@ -49,8 +49,8 @@ def _integer(name: str, value, low, high=math.inf) -> int:
 
 
 def _finite(name: str, value) -> None:
-    """A ValueError naming the field unless value is a finite real."""
-    if not math.isfinite(value):
+    """A ValueError naming the field unless value is a finite real; a bool is not one."""
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 

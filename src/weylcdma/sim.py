@@ -31,7 +31,9 @@ pass, and a users sweep one pass at its largest K per slot pool, whose
 points share trials.  A pass that reads one width sums all interferers
 in one contraction; one that reads several takes prefix sums over
 interferers, so its statistics agree with the one-width ones to float
-rounding.
+rounding.  Inside a block, the pair gather and its contraction run over
+tiles of trials holding at most ``_TILE_PAIRS`` pair rows, so a worker
+never holds the block's whole (t, K, K, 4) gather.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ TC = 1.0  # chip duration; the symbol duration is T = N * TC
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 _BLOCK = 1024  # trials per RNG block: part of the random-number layout
+_TILE_PAIRS = 1 << 15  # pair rows per gather tile (1 MiB); the draws do not depend on it
 _THREADS_ENV = "WEYLCDMA_THREADS"
 
 _FZC_TRIPLE = (1.0, 1.0, 1.275)  # (p, q, r) exponents of the fzc pool
@@ -315,7 +318,13 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
     Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
     of Theta(l) and Theta(l+1), zero for sigma_i = sigma_k.  The MAI is
     {c: (t, c) array} over the sorted user counts ``widths``, the largest
-    being config.n_users.
+    being config.n_users.  Tiles of a power-of-two trial count, so that
+    they divide the block, gather at most ``_TILE_PAIRS`` rows each (all of
+    a block for K <= 5).  One width: a receiver-major (tile, i, k, 4)
+    gather, summed over k and the 4 weights by one einsum.  Several widths:
+    an interferer-major (tile, k, i, 4) gather, reduced over the weights by
+    matmul into a (t, k, i) array whose prefix sums over k give mai[c] as
+    row c - 1.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
@@ -334,16 +343,24 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
     w = tau - l * TC
     row = sigma * (pool_size * 2 * n)
     col = (sigma * 2 + (bits_prev != bits_cur)) * n + l
-    pair = np.take(table, row[:, :, None] + col[:, None, :], axis=0)  # (t, K, K, 4)
     # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
     cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
     weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
     draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
+    tile = min(_BLOCK, 1 << max(0, int(_TILE_PAIRS // (k * k)).bit_length() - 1))
+    tiles = [slice(s, s + tile) for s in range(0, t, tile)]
     if widths == (k,):
-        return draw, noise, {k: np.einsum("tikj,tkj->ti", pair, weights)}
-    cum = np.einsum("tikj,tkj->tik", pair, weights)  # per (receiver, interferer) pair
-    np.cumsum(cum, axis=2, out=cum)
-    return draw, noise, {c: cum[:, :c, c - 1] for c in widths}
+        mai = np.empty((t, k))
+        for b in tiles:
+            pair = np.take(table, row[b, :, None] + col[b, None, :], axis=0)
+            np.einsum("tikj,tkj->ti", pair, weights[b], out=mai[b])
+        return draw, noise, {k: mai}
+    cum = np.empty((t, k, k))  # (trial, interferer, receiver)
+    for b in tiles:
+        pair = np.take(table, row[b, None, :] + col[b, :, None], axis=0)
+        np.matmul(pair, weights[b, :, :, None], out=cum[b, :, :, None])
+    np.cumsum(cum, axis=1, out=cum)
+    return draw, noise, {c: cum[:, c - 1, :c] for c in widths}
 
 
 def _thread_count() -> int:

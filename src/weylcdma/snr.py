@@ -52,9 +52,11 @@ class LinkBudget:
     def from_db(cls, ebn0_db: float, n_chips: int, n_users: int) -> "LinkBudget":
         """The package's one dB-to-linear conversion; +inf dB is noise-free.
 
-        A value whose linear ratio or noise term N0/2E is not a finite
-        float (nan, -inf, or beyond about +-3000 dB) is rejected.
+        A bool, or a value whose linear ratio or noise term N0/2E is not a
+        finite float (nan, -inf, or beyond about +-3000 dB), is rejected.
         """
+        if isinstance(ebn0_db, (bool, np.bool_)):
+            raise ValueError(f"ebn0_db must be a number of dB, not a bool, got {ebn0_db!r}")
         try:
             e_over_n0 = 10.0 ** (float(ebn0_db) / 10.0)  # a Python float raises on overflow
             noise_term = 0.5 / e_over_n0

@@ -417,6 +417,51 @@ class TestBlockLayout:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_peak_memory_is_bounded_in_users(self, monkeypatch):
+        # a (1024, K, K, 4) gather at K = 31 alone is 31 MB; tiles hold at most
+        # sim._TILE_PAIRS pair rows, so only the (t, K, K) prefix sums grow as K^2
+        monkeypatch.setenv("WEYLCDMA_THREADS", "1")
+        weyl = SimConfig(n_users=2, n_chips=32, ebn0_db=25.0, trials=1024, seed=3,
+                         gamma=1 / 64, k_max=32)
+        for run in (
+            lambda: run_ber(SimConfig(n_users=31, n_chips=31, ebn0_db=25.0, trials=1024, seed=3,
+                                      family="optimal", gamma=1 / 62)),
+            lambda: sweep(weyl, "users", range(2, 33)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2**20
+
+    def test_tile_split_does_not_change_results(self, engine_layout, monkeypatch):
+        # K = 16 against one tile per block: 1-trial tiles, 32-trial tiles (the last
+        # block's 52 trials split 32 + 20) and the default; the summation order may
+        # change in the last bit, the counts not
+        cfg = dataclasses.replace(PREFIX_BASE, n_users=16)
+        users = (2, 9, 16)
+
+        def run():
+            mai = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai[16]))
+            prefix = [np.concatenate(m) for m in zip(*sim._map_blocks(
+                cfg, lambda draw, g, mai: [mai[c] for c in users], users))]
+            return run_ber(cfg), sweep(cfg, "users", users), mai, prefix
+
+        default = sim._TILE_PAIRS
+        monkeypatch.setattr(sim, "_TILE_PAIRS", sim._BLOCK * 16 * 16)
+        ber, rows, mai, prefix = run()
+        assert ber.error_count > 0
+        for tile_pairs in (1, 32 * 16 * 16, default):
+            monkeypatch.setattr(sim, "_TILE_PAIRS", tile_pairs)
+            tiled_ber, tiled_rows, tiled_mai, tiled_prefix = run()
+            np.testing.assert_array_equal(tiled_ber.per_user_ber, ber.per_user_ber)
+            assert tiled_rows == rows
+            np.testing.assert_allclose(tiled_mai, mai, rtol=0.0, atol=1e-13)
+            for tiled, ref in zip(tiled_prefix, prefix, strict=True):
+                np.testing.assert_allclose(tiled, ref, rtol=0.0, atol=1e-13)
+
 
 class TestVarianceBridge:
     def test_full_slot_family_variance(self):
@@ -590,7 +635,9 @@ class TestValidation:
                              ("n_chips", 16.0), ("trials", 10.5), ("trials", 10.0), ("seed", 1.5),
                              ("seed", 0.0), ("seed", -1), ("k_max", 16.5), ("k_max", 16.0),
                              ("k_max", "16"), ("k_max", 0), ("k_max", -3),
-                             ("n_users", True), ("trials", True), ("seed", True)):
+                             ("n_users", True), ("trials", True), ("seed", True),
+                             ("gamma", True), ("gamma", np.True_), ("ebn0_db", True),
+                             ("ebn0_db", np.False_)):
             with pytest.raises(ValueError, match=field):
                 run_ber(SimConfig(**dict(good, **{field: value})))
         with pytest.raises(ValueError, match="k_max"):
