@@ -48,10 +48,14 @@ def _integer(name: str, value, low, high=math.inf) -> int:
     return int(value)
 
 
-def _finite(name: str, value) -> None:
-    """A ValueError naming the field unless value is a finite real; a bool is not one."""
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+def _finite(name: str, value) -> float:
+    """value as a float; a ValueError naming the field unless it is a finite real.
+
+    numpy reals pass; a bool does not, nor a string or None, which are never parsed.
+    """
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 class AssignmentPolicy(str, enum.Enum):
@@ -92,9 +96,9 @@ class WeylParams:
     n_chips: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < 1.0:
+        if not 0.0 <= _finite("rho", self.rho) < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if not 0.0 <= self.delta < 1.0:
+        if not 0.0 <= _finite("delta", self.delta) < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
         _integer("n_chips", self.n_chips, 1)
 
@@ -104,7 +108,7 @@ class FZCParams:
     """Extended-FZC parameters: real index m_k and exponent triple (p, q, r).
 
     ``r=None`` encodes an absent third term (the classic families written
-    with r = -infinity); a float ``-inf`` passed for r is normalized to
+    with r = -infinity); a real ``-inf`` passed for r is normalized to
     ``None`` so the generator never evaluates n**-inf.
     """
 
@@ -118,12 +122,10 @@ class FZCParams:
         _finite("m_k", self.m_k)
         _finite("p", self.p)
         _finite("q", self.q)
-        if self.r is not None:
-            r = float(self.r)
-            if math.isinf(r) and r < 0:
-                object.__setattr__(self, "r", None)
-            elif not math.isfinite(r):
-                raise ValueError("r must be finite, -inf, or None")
+        if self.r is None or self.r == -math.inf:  # any real -inf; a string or bool never equals it
+            object.__setattr__(self, "r", None)
+        else:
+            _finite("r", self.r)
         _integer("n_chips", self.n_chips, 1)
         if self.m_k < 0 and self.p != int(self.p):
             raise ValueError("negative m_k requires an integer exponent p")
@@ -183,7 +185,8 @@ def fzc_family_sequence(params: FZCParams) -> ChipSequence:
 
 def optimal_weyl_sequence(params: OptimalWeylParams) -> ChipSequence:
     """Generate the slot-sigma_k member: Weyl code with rho = gamma + sigma_k/k_max mod 1."""
-    rho = (params.gamma + params.sigma_k / params.k_max) % 1.0
+    # the second mod maps a tiny negative sum, which the first rounds up to 1.0, to 0.0
+    rho = (params.gamma + params.sigma_k / params.k_max) % 1.0 % 1.0
     seq = weyl_sequence(WeylParams(rho=rho, delta=0.0, n_chips=params.n_chips))
     tag = f"optimal-weyl(gamma={params.gamma:g},sigma={params.sigma_k},kmax={params.k_max})"
     return ChipSequence(seq.chips, family_tag=tag)
@@ -260,37 +263,30 @@ def gold_code(
     code_index: int,
     taps: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> ChipSequence:
-    """Generate one Gold family member of length N = 2**m - 1 as +-1 chips.
-
-    Index 0 and 1 are the two constituent m-sequences u and v; index 2+s is
-    u XOR (v cyclically shifted by s), giving N + 2 members total.  The
-    degree-5 preferred pair is built in; other degrees require the caller
-    to supply both feedback tap sets.
-    """
+    """Member ``code_index`` of ``gold_family(register_degree, taps)``."""
     m = _integer("register_degree", register_degree, 1)
-    if taps is None:
-        taps = _PREFERRED_TAPS.get(m)
-        if taps is None:
-            raise ValueError(f"no built-in preferred pair for degree {m}; supply taps")
     index = _integer("code_index", code_index, 0, gold_family_size(m) - 1)
-    u = _m_sequence(taps[0], m)
-    v = _m_sequence(taps[1], m)
-    if index == 0:
-        bits = u
-    elif index == 1:
-        bits = v
-    else:
-        bits = u ^ np.roll(v, -(index - 2))
-    chips = (1.0 - 2.0 * bits.astype(np.float64)).astype(np.complex128)
-    return ChipSequence(chips, family_tag=f"gold(m={m},index={index})")
+    return gold_family(m, taps)[index]
 
 
 def gold_family(
     register_degree: int,
     taps: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> list[ChipSequence]:
-    """All N + 2 Gold members for the given degree."""
-    return [
-        gold_code(register_degree, idx, taps=taps)
-        for idx in range(gold_family_size(register_degree))
-    ]
+    """All N + 2 Gold members of length N = 2**m - 1 as +-1 chips.
+
+    Index 0 and 1 are the two constituent m-sequences u and v; index 2+s is
+    u XOR (v cyclically shifted by s).  The degree-5 preferred pair is built
+    in; other degrees require the caller to supply both feedback tap sets.
+    """
+    m = _integer("register_degree", register_degree, 1)
+    if taps is None:
+        taps = _PREFERRED_TAPS.get(m)
+        if taps is None:
+            raise ValueError(f"no built-in preferred pair for degree {m}; supply taps")
+    u = _m_sequence(taps[0], m)
+    v = _m_sequence(taps[1], m)
+    s = np.arange(u.size)
+    bits = np.vstack([u, v, u ^ v[(s[:, None] + s) % u.size]])  # member 2+s: u ^ roll(v, -s)
+    chips = (1.0 - 2.0 * bits.astype(np.float64)).astype(np.complex128)
+    return [ChipSequence(c, family_tag=f"gold(m={m},index={i})") for i, c in enumerate(chips)]

@@ -481,12 +481,13 @@ def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
         raise ValueError('axis must be "users" or "ebn0"')
     values = list(values)
     if axis == "users":
-        fractional = [v for v in values if not float(v).is_integer()]
+        name = "users axis value (whole numbers only)"
+        fractional = [v for v in values if not _finite(name, v).is_integer()]
         if fractional:
             raise ValueError(f"users axis values must be whole numbers, got {fractional}")
         configs = [dataclasses.replace(template, n_users=int(v)) for v in values]
-    else:
-        configs = [dataclasses.replace(template, ebn0_db=float(v)) for v in values]
+    else:  # SimConfig checks each E/N0 as given
+        configs = [dataclasses.replace(template, ebn0_db=v) for v in values]
     return [
         SweepRow(
             axis_value=float(v),

@@ -52,13 +52,13 @@ class LinkBudget:
     def from_db(cls, ebn0_db: float, n_chips: int, n_users: int) -> "LinkBudget":
         """The package's one dB-to-linear conversion; +inf dB is noise-free.
 
-        A bool, or a value whose linear ratio or noise term N0/2E is not a
-        finite float (nan, -inf, or beyond about +-3000 dB), is rejected.
+        Anything but +inf or a finite real (``sequences._finite``) is rejected,
+        as is a value whose linear ratio or noise term N0/2E is not a finite
+        float (beyond about +-3000 dB).
         """
-        if isinstance(ebn0_db, (bool, np.bool_)):
-            raise ValueError(f"ebn0_db must be a number of dB, not a bool, got {ebn0_db!r}")
+        db = math.inf if ebn0_db == math.inf else _finite("ebn0_db", ebn0_db)
         try:
-            e_over_n0 = 10.0 ** (float(ebn0_db) / 10.0)  # a Python float raises on overflow
+            e_over_n0 = 10.0 ** (db / 10.0)  # a Python float raises on overflow
             noise_term = 0.5 / e_over_n0
         except (OverflowError, ZeroDivisionError):
             noise_term = math.nan

@@ -263,6 +263,14 @@ class TestBerSweep:
                 assert code == 1 and out == ""
                 assert err.count("\n") == 1 and "gamma must be finite" in err
 
+    def test_tiny_negative_gamma_runs(self, capsys):
+        # rho = (gamma + 0/4) % 1.0 rounds to 1.0 here; the slot code must still be made
+        code, out, err = run_cli(capsys, ["ber-sweep", "--axis", "users", "--values", "2",
+                                          "--gamma=-1e-17", "--kmax", "4", "--n", "8",
+                                          "--trials", "10"])
+        assert code == 0 and err == ""
+        assert data_rows(out)[1][0][:5] == ["2", "weyl", "random", "-1e-17", "4"]
+
     def test_gold_length_without_built_in_pair_rejected(self, capsys):
         for n in ("7", "63", "127"):
             code, out, err = run_cli(capsys, ["ber-sweep", "--family", "gold", "--n", n,

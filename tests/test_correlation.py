@@ -229,7 +229,9 @@ class TestCrossBound:
     (cross_bound, (0.2, -math.inf)),
     (weyl_c_closed_form, (math.nan, 0.2, 3, 31)),
     (weyl_c_closed_form, (0.2, math.inf, 3, 31)),
-], ids=["bound-nan", "bound-inf", "bound-neg-inf", "closed-form-nan", "closed-form-inf"])
+    (cross_bound, ("0.1", 0.2)),
+], ids=["bound-nan", "bound-inf", "bound-neg-inf", "closed-form-nan", "closed-form-inf",
+        "bound-string"])
 def test_closed_forms_reject_nonfinite_phase(func, args):
     with pytest.raises(ValueError, match="must be finite"):
         func(*args)

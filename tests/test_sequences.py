@@ -72,6 +72,9 @@ class TestWeyl:
             WeylParams(rho=1.0, delta=0.0, n_chips=4)
         with pytest.raises(ValueError):
             WeylParams(rho=0.1, delta=-0.2, n_chips=4)
+        for field, bad in (("rho", False), ("delta", np.False_), ("rho", "0.5")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                WeylParams(**{"rho": 0.1, "delta": 0.0, "n_chips": 4, field: bad})
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(1)
@@ -125,6 +128,10 @@ class TestFZC:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     FZCParams(**{**good, field: bad})
+        for bad in ("2", True):  # a string is never parsed, nor a bool taken as 1
+            with pytest.raises(ValueError, match="r must be finite"):
+                FZCParams(**{**good, "r": bad})
+        assert FZCParams(**{**good, "r": np.float32("-inf")}).r is None
 
 
 class TestOptimalWeyl:
@@ -145,6 +152,12 @@ class TestOptimalWeyl:
         opt = optimal_weyl_sequence(OptimalWeylParams(gamma, sigma, k_max, n))
         ref = weyl_sequence(WeylParams(rho=rho, delta=0.0, n_chips=n))
         np.testing.assert_allclose(opt.chips, ref.chips, atol=1e-13)
+
+    def test_tiny_negative_gamma_wraps_to_zero(self):
+        # (-1e-17 + 0/4) % 1.0 rounds to 1.0, which WeylParams would reject as rho
+        seq = optimal_weyl_sequence(OptimalWeylParams(gamma=-1e-17, sigma_k=0, k_max=4, n_chips=8))
+        ref = optimal_weyl_sequence(OptimalWeylParams(gamma=0.0, sigma_k=0, k_max=4, n_chips=8))
+        np.testing.assert_array_equal(seq.chips, ref.chips)
 
     def test_rejects_slot_at_or_beyond_k_max(self):
         with pytest.raises(ValueError):

@@ -562,7 +562,7 @@ class TestSweep:
         monkeypatch.setattr(sim, "_simulate_block",
                             lambda *args: calls.append(args) or simulate_block(*args))
         cfg = SimConfig(n_users=3, n_chips=16, ebn0_db=10.0, trials=50, seed=0, k_max=16)
-        for values in ([0.0, math.nan], [0.0, 4000.0]):
+        for values in ([0.0, math.nan], [0.0, 4000.0], [0.0, "10"], [0.0, True]):
             with pytest.raises(ValueError, match="ebn0_db"):
                 sweep(cfg, "ebn0", values)
         assert sweep(cfg, "ebn0", []) == []
@@ -578,6 +578,9 @@ class TestSweep:
         cfg = SimConfig(n_users=2, n_chips=31, ebn0_db=25.0, trials=20000, seed=1, k_max=31)
         with pytest.raises(ValueError, match="n_users=40 exceeds the weyl family capacity 31"):
             sweep(cfg, "users", [2, 8, 40])
+        for bad in ("3", True):  # never parsed as K = 3, nor counted as K = 1
+            with pytest.raises(ValueError, match="users axis value"):
+                sweep(cfg, "users", [2, bad])
         assert calls == []
 
     def test_rejects_unknown_axis(self):
@@ -637,7 +640,8 @@ class TestValidation:
                              ("k_max", "16"), ("k_max", 0), ("k_max", -3),
                              ("n_users", True), ("trials", True), ("seed", True),
                              ("gamma", True), ("gamma", np.True_), ("ebn0_db", True),
-                             ("ebn0_db", np.False_)):
+                             ("ebn0_db", np.False_), ("ebn0_db", "10"), ("ebn0_db", None),
+                             ("gamma", "0.1")):
             with pytest.raises(ValueError, match=field):
                 run_ber(SimConfig(**dict(good, **{field: value})))
         with pytest.raises(ValueError, match="k_max"):

@@ -291,6 +291,11 @@ class TestLinkBudget:
         assert budget.noise_term == pytest.approx(0.5 * 10.0**-2.5, rel=1e-12)
 
     def test_validation(self):
+        for bad in ("10", None):  # a string is never parsed
+            with pytest.raises(ValueError, match="ebn0_db must be finite"):
+                LinkBudget.from_db(bad, 31, 1)
+        assert LinkBudget.from_db(np.inf, 31, 1).noise_term == 0.0
+        assert LinkBudget.from_db(np.int64(10), 31, 1) == LinkBudget.from_db(10.0, 31, 1)
         with pytest.raises(ValueError):
             LinkBudget(e_over_n0=0.0, n_chips=31, n_users=1)
         with pytest.raises(ValueError):
