@@ -51,9 +51,14 @@ def _integer(name: str, value, low, high=math.inf) -> int:
 def _finite(name: str, value) -> float:
     """value as a float; a ValueError naming the field unless it is a finite real.
 
-    numpy reals pass; a bool does not, nor a string or None, which are never parsed.
+    numpy reals pass; a bool does not, nor a string or None, which are never parsed, nor an
+    int beyond the float range.
     """
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 

@@ -43,8 +43,9 @@ class LinkBudget:
     n_users: int
 
     def __post_init__(self) -> None:
-        if not self.e_over_n0 > 0:
-            raise ValueError("e_over_n0 must be positive")
+        e_over_n0 = self.e_over_n0
+        if not (e_over_n0 == math.inf or _finite("e_over_n0", e_over_n0) > 0):
+            raise ValueError(f"e_over_n0 must be positive, got {e_over_n0!r}")
         _integer("n_chips", self.n_chips, 2)
         _integer("n_users", self.n_users, 1)
 

@@ -118,6 +118,14 @@ class TestSolve:
         assert len(rhos) == 7
         assert np.allclose(np.diff(rhos), 1 / 7)
 
+    def test_output_bytes_pinned(self, capsys):
+        # sha256 of the report before the falsifier pruned by bound: pruning changes no byte
+        code, out, _ = run_cli(capsys, ["solve", "--k", "20", "--samples", "20000", "--seed", "5"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "47a6ededb55f8677ef67f486a8fb677a9175f199136581691cefa19d6fce676a"
+        )
+
     def test_nonfinite_gamma_rejected(self, capsys):
         for gamma in ("nan", "inf"):
             code, out, err = run_cli(capsys, ["solve", "--k", "3", "--gamma", gamma])

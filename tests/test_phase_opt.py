@@ -1,5 +1,6 @@
 """Phase-assignment optimization tests: objective census values, the
-closed-form solution, multiplier construction, and KKT certification."""
+closed-form solution, multiplier construction, KKT certification, and the
+sampling falsifier against its unpruned reference."""
 
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from weylcdma.phase_opt import (
     PhaseAssignment,
+    SamplingReport,
+    _pair_sum,
     alpha_tilde,
     circle_distance,
     construct_multipliers,
@@ -26,6 +29,21 @@ def reference_pair_sum(rhos):
     s = np.sin(np.pi * circle_distance(rhos[..., i], rhos[..., j]))
     with np.errstate(divide="ignore"):
         return np.sum(1.0 / s, axis=-1)
+
+
+def unpruned_report(k, samples, seed):
+    """The falsifier with every sample scored exactly, chunk by chunk: a reference."""
+    opt = objective(global_solution(k, 0.0)[0])
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    chunk = max(1, min(samples, 65_536 // k))
+    remaining = samples
+    while remaining > 0:
+        m = min(chunk, remaining)
+        remaining -= m
+        rho = np.sort(rng.random((m, k)), axis=1).T.copy()
+        best = min(best, float(np.min(_pair_sum(rho))))
+    return SamplingReport(k, samples, seed, opt, best, best - opt, bool(opt > best + 1e-12))
 
 
 class TestCircleDistance:
@@ -99,6 +117,22 @@ class TestObjective:
         for base in (0.0, 0.3, 0.5, 0.999):
             rhos = np.array([base, base + 1e-6, base + 0.4])
             assert objective(rhos) == pytest.approx(reference_pair_sum(rhos), rel=1e-9)
+
+    def test_rejects_nonfinite_and_non_numeric_phases(self):
+        for bad in (
+            [math.nan, 0.5],
+            [0.1, math.inf],
+            [-math.inf, 0.3],
+            ["0.1", 0.5],  # never parsed
+            [[0.1, 0.2], [0.3, 0.4]],
+            0.5,
+            [True, False],
+            [10**400, 0.5],
+        ):
+            with pytest.raises(ValueError, match="phases"):
+                objective(bad)
+        assert objective(np.array([0.25, 0.75], dtype=np.float32)) == 1.0
+        assert objective([1, 2, 0.5]) == math.inf  # equal mod 1
 
     def test_double_sum_counts_each_distance_twice(self):
         rng = np.random.default_rng(2)
@@ -302,9 +336,20 @@ class TestSampling:
 
     def test_best_matches_reference_minimum_over_same_draws(self):
         for k in range(2, 21):
-            draws = np.sort(np.random.default_rng(k).random((2_000, k)), axis=1)
+            draws = np.sort(np.random.default_rng(k).random((2_000, k)), axis=1)  # one chunk
             best = verify_optimality_by_sampling(k, 2_000, seed=k).best_sampled_objective
+            assert best == float(np.min(_pair_sum(draws.T.copy())))
             assert best == pytest.approx(np.min(reference_pair_sum(draws)), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 27))
+    def test_report_equals_unpruned_reference(self, k):
+        # bound and prune changes no bit of the report: chunk edges, single-sample
+        # chunks and K < 4 included
+        chunk = 65_536 // k
+        for seed in range(6):
+            for samples in sorted({1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 10_000}):
+                report = verify_optimality_by_sampling(k, samples, seed)
+                assert report == unpruned_report(k, samples, seed), (k, seed, samples)
 
     def test_near_duplicate_samples_stay_above_optimum(self):
         # duplicates give infinite objectives and cannot undercut the optimum

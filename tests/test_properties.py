@@ -1,7 +1,8 @@
 """Property tests: a users-axis sweep equals a separate run_ber per user count,
-for any family, policy, trial count and list of user counts; and the Weyl
+for any family, policy, trial count and list of user counts; the Weyl
 correlation identities (crosscorrelation bound, closed-form r_ik, theta/theta_hat
-wrap) hold for any length, slot pair and gamma."""
+wrap) hold for any length, slot pair and gamma; and the sampling falsifier's
+pruning bound lies below the pair sum for any sorted phases."""
 
 import dataclasses
 
@@ -17,6 +18,7 @@ from weylcdma.correlation import (  # noqa: E402
     r_ik,
     theta_pairs,
 )
+from weylcdma.phase_opt import _lower_bound, circle_distance  # noqa: E402
 from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence  # noqa: E402
 from weylcdma.sim import SimConfig, family_capacity, run_ber, sweep  # noqa: E402
 from weylcdma.snr import r_ik_closed  # noqa: E402
@@ -98,3 +100,23 @@ def test_theta_pairs_wrap(case):
     theta, theta_hat = pairs[:, :, 0], pairs[:, :, 1]
     np.testing.assert_array_equal(theta[..., n - 1, 1], theta[..., 0, 0])
     np.testing.assert_array_equal(theta_hat[..., n - 1, 1], -theta_hat[..., 0, 0])
+
+
+@st.composite
+def sorted_phases(draw):
+    """K = 3..40 sorted phases in [0, 1), spread uniformly or clustered (duplicates too)."""
+    k = draw(st.integers(3, 40))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    centres = draw(st.lists(unit, min_size=1, max_size=k))
+    spread = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 1e-3, 1.0]))
+    offsets = draw(st.lists(unit, min_size=k, max_size=k))
+    return np.sort([(centres[i % len(centres)] + spread * o) % 1.0 for i, o in enumerate(offsets)])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sorted_phases())
+def test_pruning_bound_below_pair_sum(rhos):
+    i, j = np.triu_indices(rhos.size, 1)  # the triu_indices + circle_distance oracle
+    with np.errstate(divide="ignore", over="ignore"):  # subnormal distances overflow to inf
+        pair_sum = np.sum(1.0 / np.sin(np.pi * circle_distance(rhos[i], rhos[j])))
+    assert _lower_bound(rhos[:, None])[0] <= pair_sum

@@ -641,7 +641,7 @@ class TestValidation:
                              ("n_users", True), ("trials", True), ("seed", True),
                              ("gamma", True), ("gamma", np.True_), ("ebn0_db", True),
                              ("ebn0_db", np.False_), ("ebn0_db", "10"), ("ebn0_db", None),
-                             ("gamma", "0.1")):
+                             ("gamma", "0.1"), ("ebn0_db", 10**400), ("gamma", 10**400)):
             with pytest.raises(ValueError, match=field):
                 run_ber(SimConfig(**dict(good, **{field: value})))
         with pytest.raises(ValueError, match="k_max"):
