@@ -92,7 +92,7 @@ def _cmd_generate(args) -> int:
             OptimalWeylParams(gamma=args.gamma, sigma_k=args.sigma, k_max=kmax, n_chips=args.n)
         )
     else:  # gold
-        seq = gold_code(args.degree, args.index)
+        seq = gold_code(args.index)
     params = {"command": "generate", "family": args.family, "tag": seq.family_tag}
     rows = [(i + 1, c.real, c.imag) for i, c in enumerate(seq.chips)]
     _emit(_csv_lines(params, ("n", "re", "im"), rows), args.out)
@@ -180,7 +180,11 @@ def _write_sweep(config: SimConfig, axis: str, values, out: str | None, **extra)
 
 
 def _cmd_ber_sweep(args) -> int:
-    values = [float(v) for v in (args.values or "").split(",") if v]
+    try:
+        values = [float(v) for v in (args.values or "").split(",") if v]
+    except ValueError:
+        raise ValueError(
+            f"ber-sweep: --values must be comma-separated numbers, got {args.values!r}") from None
     if not values:
         raise SystemExit("ber-sweep: --values (flag or config file) must list an axis value")
     config = SimConfig(**{field: getattr(args, flag) for field, flag in _SWEEP_FLAGS.items()})
@@ -309,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gamma", type=float, default=0.0)
     g.add_argument("--sigma", type=int, default=0)
     g.add_argument("--kmax", type=int, default=None)
-    g.add_argument("--degree", type=int, choices=(5,), default=5)
     g.add_argument("--index", type=int, default=0)
     _add_out(g)
     g.set_defaults(func=_cmd_generate)

@@ -109,7 +109,7 @@ def weyl_c_closed_form(rho_i: float, rho_k: float, lag: int, n_chips: int) -> fl
     _finite("rho_k", rho_k)
     n = _integer("n_chips", n_chips, 1)
     l = _integer("lag", lag, 0, n - 1)
-    diff = (rho_k - rho_i) % 1.0
+    diff = (rho_k % 1.0 - rho_i % 1.0) % 1.0  # reduced first: a large phase keeps its fraction
     denom = math.sin(math.pi * diff)
     if denom == 0.0:
         warnings.warn(
@@ -130,7 +130,7 @@ def cross_bound(rho_i: float, rho_k: float) -> float:
     """
     _finite("rho_i", rho_i)
     _finite("rho_k", rho_k)
-    diff = abs(rho_i - rho_k) % 1.0
+    diff = abs(rho_i % 1.0 - rho_k % 1.0) % 1.0  # reduced first: a large phase keeps its fraction
     d = min(diff, 1.0 - diff)
     s = math.sin(math.pi * d)
     if s == 0.0:

@@ -73,8 +73,9 @@ class LagrangeMultipliers:
 
 
 def circle_distance(rho_i, rho_k):
-    """Wrap-around distance min(|rho_i - rho_k|, 1 - |rho_i - rho_k|) in [0, 1/2], elementwise."""
-    diff = np.abs(np.subtract(rho_i, rho_k))
+    """Wrap-around distance min(|rho_i - rho_k|, 1 - |rho_i - rho_k|) in [0, 1/2], elementwise,
+    of the phases reduced mod 1 (so a large phase keeps its fractional part)."""
+    diff = np.abs(np.subtract(np.mod(rho_i, 1.0), np.mod(rho_k, 1.0)))
     diff = diff - np.floor(diff)  # fractional part; exact for diff >= 0
     return np.minimum(diff, 1.0 - diff)
 
@@ -89,7 +90,7 @@ def _pair_sum(rhos: np.ndarray) -> np.ndarray:
     """
     s, c = np.sin(np.pi * rhos), np.cos(np.pi * rhos)
     total = np.zeros(rhos.shape[1:])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a zero or subnormal distance gives inf
         for g in range(1, rhos.shape[0]):
             total += np.sum(1.0 / np.abs(s[g:] * c[:-g] - c[g:] * s[:-g]), axis=0)
     return total

@@ -30,9 +30,10 @@ __all__ = [
     "optimal_weyl_sequence",
     "van_der_corput",
     "vdc_assignment",
+    "GOLD_N_CHIPS",
+    "GOLD_FAMILY_SIZE",
     "gold_code",
     "gold_family",
-    "gold_family_size",
 ]
 
 UNIT_MODULUS_TOL = 1e-12
@@ -229,30 +230,22 @@ def vdc_assignment(n_users: int, n_chips: int) -> np.ndarray:
     return sigma
 
 
-# Preferred pair of primitive polynomials for degree 5 (N=31):
-# x^5 + x^2 + 1 and x^5 + x^4 + x^3 + x^2 + 1.
-_PREFERRED_TAPS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    5: ((5, 2), (5, 4, 3, 2)),
-}
+# The built-in Gold family: the preferred pair of primitive polynomials of degree 5,
+# x^5 + x^2 + 1 and x^5 + x^4 + x^3 + x^2 + 1, each written as its exponents, degree first.
+_GOLD_TAPS = ((5, 2), (5, 4, 3, 2))
+GOLD_N_CHIPS = (1 << _GOLD_TAPS[0][0]) - 1  # 31
+GOLD_FAMILY_SIZE = GOLD_N_CHIPS + 2  # 33
 
 
-def gold_family_size(register_degree: int) -> int:
-    """Number of Gold family members for degree m: N + 2 with N = 2**m - 1."""
-    return (1 << register_degree) + 1
+def _m_sequence(taps: tuple[int, ...]) -> np.ndarray:
+    """Full-period m-sequence bits for the feedback polynomial with the given exponents.
 
-
-def _m_sequence(taps: tuple[int, ...], degree: int) -> np.ndarray:
-    """Full-period m-sequence bits for the polynomial with the given exponents.
-
-    ``taps`` lists the nonzero exponents of the feedback polynomial (the
-    constant term is implied), e.g. (5, 2) for x^5 + x^2 + 1.  The bits
-    follow the linear recurrence a_t = XOR of a_{t-(degree-e)} over the
-    lower exponents e, plus a_{t-degree}, seeded with ones.
+    ``taps`` lists the nonzero exponents, the degree m first (the constant term is
+    implied), e.g. (5, 2) for x^5 + x^2 + 1.  The bits follow the linear recurrence
+    a_t = a_{t-m} XOR the a_{t-(m-e)} of the lower exponents e, seeded with ones.
     """
-    exps = sorted(set(int(t) for t in taps))
-    if not exps or exps[-1] != degree or exps[0] < 1:
-        raise ValueError(f"taps must be within 1..{degree} and include {degree}")
-    offsets = [degree - e for e in exps[:-1]] + [degree]
+    degree = taps[0]
+    offsets = [degree - e for e in taps[1:]] + [degree]
     period = (1 << degree) - 1
     seq = [1] * degree
     for t in range(degree, period):
@@ -263,35 +256,21 @@ def _m_sequence(taps: tuple[int, ...], degree: int) -> np.ndarray:
     return np.array(seq, dtype=np.int8)
 
 
-def gold_code(
-    register_degree: int,
-    code_index: int,
-    taps: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> ChipSequence:
-    """Member ``code_index`` of ``gold_family(register_degree, taps)``."""
-    m = _integer("register_degree", register_degree, 1)
-    index = _integer("code_index", code_index, 0, gold_family_size(m) - 1)
-    return gold_family(m, taps)[index]
+def gold_code(code_index: int) -> ChipSequence:
+    """Member ``code_index`` of ``gold_family()``."""
+    return gold_family()[_integer("code_index", code_index, 0, GOLD_FAMILY_SIZE - 1)]
 
 
-def gold_family(
-    register_degree: int,
-    taps: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> list[ChipSequence]:
-    """All N + 2 Gold members of length N = 2**m - 1 as +-1 chips.
+def gold_family() -> list[ChipSequence]:
+    """The ``GOLD_FAMILY_SIZE`` members of the built-in Gold family as +-1 chips.
 
-    Index 0 and 1 are the two constituent m-sequences u and v; index 2+s is
-    u XOR (v cyclically shifted by s).  The degree-5 preferred pair is built
-    in; other degrees require the caller to supply both feedback tap sets.
+    Each has ``GOLD_N_CHIPS`` = 2**5 - 1 chips.  Index 0 and 1 are the m-sequences u
+    and v of the preferred pair ``_GOLD_TAPS``; index 2+s is u XOR (v cyclically
+    shifted by s).
     """
-    m = _integer("register_degree", register_degree, 1)
-    if taps is None:
-        taps = _PREFERRED_TAPS.get(m)
-        if taps is None:
-            raise ValueError(f"no built-in preferred pair for degree {m}; supply taps")
-    u = _m_sequence(taps[0], m)
-    v = _m_sequence(taps[1], m)
+    u, v = (_m_sequence(taps) for taps in _GOLD_TAPS)
     s = np.arange(u.size)
     bits = np.vstack([u, v, u ^ v[(s[:, None] + s) % u.size]])  # member 2+s: u ^ roll(v, -s)
     chips = (1.0 - 2.0 * bits.astype(np.float64)).astype(np.complex128)
+    m = _GOLD_TAPS[0][0]
     return [ChipSequence(c, family_tag=f"gold(m={m},index={i})") for i, c in enumerate(chips)]

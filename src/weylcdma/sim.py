@@ -49,6 +49,8 @@ import numpy as np
 
 from weylcdma.correlation import _chips, _pair, aperiodic_c, aperiodic_table, theta_pairs
 from weylcdma.sequences import (
+    GOLD_FAMILY_SIZE,
+    GOLD_N_CHIPS,
     AssignmentPolicy,
     OptimalWeylParams,
     FZCParams,
@@ -56,7 +58,6 @@ from weylcdma.sequences import (
     _integer,
     fzc_family_sequence,
     gold_family,
-    gold_family_size,
     optimal_weyl_sequence,
     vdc_assignment,
 )
@@ -88,7 +89,6 @@ _TILE_PAIRS = 1 << 15  # pair rows per gather tile (1 MiB); the draws do not dep
 _THREADS_ENV = "WEYLCDMA_THREADS"
 
 _FZC_TRIPLE = (1.0, 1.0, 1.275)  # (p, q, r) exponents of the fzc pool
-_GOLD_DEGREE = 5  # the one register degree with a built-in preferred pair
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class SimConfig:
 
     family kinds: "weyl" (slot pool of size k_max, default N), "optimal"
     (weyl with k_max = K), "fzc" (one code per index m coprime to N, with
-    the exponent triple ``_FZC_TRIPLE``), "gold" (all N+2 members of the
-    built-in degree-5 family, so N = 31).  k_max is for weyl and optimal only.
+    the exponent triple ``_FZC_TRIPLE``), "gold" (the built-in Gold
+    family, N = ``GOLD_N_CHIPS``).  k_max is for weyl and optimal only.
     policies: "random" (slots sampled without replacement, fresh each trial),
     "fixed" (sampled once per run), "sequential" (sigma_k = k - 1), "vdc"
     (Van der Corput slots; weyl with k_max = N, a power of two).  Only
@@ -215,9 +215,9 @@ def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndar
             fzc_family_sequence(FZCParams(m_k=float(m), p=p, q=q, r=r, n_chips=n)).chips
             for m in indices
         ]
-    if n != (1 << _GOLD_DEGREE) - 1:
-        raise ValueError(f"the built-in gold family has n_chips = 31, got {n}")
-    return gold_family_size(_GOLD_DEGREE), 0, lambda: [s.chips for s in gold_family(_GOLD_DEGREE)]
+    if n != GOLD_N_CHIPS:
+        raise ValueError(f"the built-in gold family has n_chips = {GOLD_N_CHIPS}, got {n}")
+    return GOLD_FAMILY_SIZE, 0, lambda: [s.chips for s in gold_family()]
 
 
 def family_capacity(config: SimConfig) -> int:

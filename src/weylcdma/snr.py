@@ -44,8 +44,9 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         e_over_n0 = self.e_over_n0
-        if not (e_over_n0 == math.inf or _finite("e_over_n0", e_over_n0) > 0):
-            raise ValueError(f"e_over_n0 must be positive, got {e_over_n0!r}")
+        linear = math.inf if e_over_n0 == math.inf else _finite("e_over_n0", e_over_n0)
+        if not (linear > 0 and 0.5 / linear < math.inf):  # 0.5 / 1e-320 overflows to inf
+            raise ValueError(f"e_over_n0 must be positive with a finite N0/2E, got {e_over_n0!r}")
         _integer("n_chips", self.n_chips, 2)
         _integer("n_users", self.n_users, 1)
 

@@ -36,17 +36,12 @@ class TestGenerate:
 
     def test_gold_chips_are_signs(self, capsys):
         code, out, _ = run_cli(
-            capsys, ["generate", "--family", "gold", "--degree", "5", "--index", "7"]
+            capsys, ["generate", "--family", "gold", "--index", "7"]
         )
         assert code == 0
         _, rows = data_rows(out)
         assert len(rows) == 31
         assert {round(float(r[1])) for r in rows} <= {-1, 1}
-        # only degree 5 has a built-in preferred pair, and the CLI cannot pass taps
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--family", "gold", "--degree", "6"])
-        assert exc.value.code == 2
-        assert "--degree" in capsys.readouterr().err.splitlines()[-1]
 
     def test_fzc_r_none(self, capsys):
         code, out, _ = run_cli(
@@ -245,6 +240,11 @@ class TestBerSweep:
     def test_missing_values_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["ber-sweep", "--axis", "users"])
+
+    def test_non_numeric_value_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, ["ber-sweep", "--values", "2,abc"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--values" in err and "'2,abc'" in err
 
     def test_fractional_users_rejected(self, capsys):
         args = list(self.ARGS)

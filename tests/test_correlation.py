@@ -190,6 +190,11 @@ class TestWeylClosedForm:
         with pytest.warns(DegeneratePhaseWarning):
             assert weyl_c_closed_form(0.25, 0.25, 3, 10) == 7.0
 
+    def test_large_phase_reduced_before_the_difference(self):
+        # 2**60 is 0 mod 1, but 2**60 - 0.25 rounds to 2**60: reducing the difference instead
+        # of each phase made this pair look coincident
+        assert weyl_c_closed_form(0.25, 2.0**60, 0, 8) == weyl_c_closed_form(0.25, 0.0, 0, 8) < 1e-14
+
     def test_bounded_in_n_for_fixed_pair(self):
         # max over lags stays below the bound independent of N
         rho_i, rho_k = 0.13, 0.62
@@ -221,6 +226,12 @@ class TestCrossBound:
             cross_bound(0.3, 0.3)
         with pytest.raises(DegeneratePhaseError):
             cross_bound(0.0, 1.0)
+
+    def test_large_phases_reduced_before_the_difference(self):
+        assert cross_bound(0.25, 2.0**60) == cross_bound(0.25, 0.0) == pytest.approx(math.sqrt(2.0))
+        # both are whole numbers, so they coincide mod 1; their difference overflows to inf
+        with pytest.raises(DegeneratePhaseError):
+            cross_bound(1e308, -1e308)
 
 
 @pytest.mark.parametrize("func, args", [
@@ -256,7 +267,7 @@ def test_lags_and_lengths_must_be_integers(make, good, field, outside):
 
 class TestInterferenceMoment:
     def test_matches_brute_force_on_gold_pair(self):
-        x, y = gold_code(5, 4), gold_code(5, 9)
+        x, y = gold_code(4), gold_code(9)
         assert r_ik(x, y) == pytest.approx(oracle_r(x.chips, y.chips), rel=1e-12)
 
     def test_matches_brute_force_on_random_pairs(self):
@@ -307,7 +318,7 @@ class TestTableAndProfile:
             assert prof.theta_hat[lag] == pytest.approx(odd_theta_hat(x, y, lag), abs=1e-12)
 
     @pytest.mark.parametrize("pool", [
-        [s.chips for s in gold_family(5)],
+        [s.chips for s in gold_family()],
         [optimal_weyl_sequence(OptimalWeylParams(1 / 32, s, 16, 16)).chips for s in range(16)],
     ], ids=["gold", "weyl16"])
     def test_theta_pairs_match_scalar_oracles(self, pool):

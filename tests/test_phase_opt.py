@@ -56,6 +56,11 @@ class TestCircleDistance:
     def test_antipodal_maximum(self):
         assert circle_distance(0.0, 0.5) == 0.5
 
+    def test_large_phases_reduced_before_the_difference(self):
+        assert circle_distance(0.25, 2.0**60) == 0.25
+        assert circle_distance(1e308, -1e308) == 0.0
+        np.testing.assert_array_equal(circle_distance(np.array([0.25, 0.75]), 2.0**60), [0.25, 0.25])
+
     def test_sin_identity(self):
         rng = np.random.default_rng(0)
         pairs = [(rng.random(), rng.random()) for _ in range(50)]
@@ -98,6 +103,11 @@ class TestObjective:
     def test_phases_equal_mod_one_signal_infinity(self):
         for rhos in ([0.0, 1.0], [0.25, 1.25, 0.5], [-0.75, 0.25]):
             assert objective(np.array(rhos)) == math.inf
+
+    def test_subnormal_distance_signals_infinity_without_warning(self):
+        # 1 / sin(pi * 5e-324) overflows; any warning is an error under the test settings
+        assert objective([0.0, 5e-324]) == math.inf
+        assert objective([0.3, 5e-324, 0.0]) == math.inf
 
     def test_matches_reference_pair_sum(self):
         # the product identity's error is about 1e-16 / sin(pi d) of a term at distance d, so

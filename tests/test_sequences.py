@@ -11,12 +11,13 @@ from weylcdma.sequences import (
     AssignmentPolicy,
     ChipSequence,
     FZCParams,
+    GOLD_FAMILY_SIZE,
+    GOLD_N_CHIPS,
     OptimalWeylParams,
     WeylParams,
     fzc_family_sequence,
     gold_code,
     gold_family,
-    gold_family_size,
     optimal_weyl_sequence,
     van_der_corput,
     vdc_assignment,
@@ -204,31 +205,31 @@ class TestVanDerCorput:
 class TestGold:
     def test_msequences_match_brute_force_oracle(self):
         for taps in ((5, 2), (5, 4, 3, 2)):
-            member = gold_code(5, 0 if taps == (5, 2) else 1)
+            member = gold_code(0 if taps == (5, 2) else 1)
             oracle = brute_force_msequence(taps, 5)
             expected = np.array([1.0 - 2.0 * b for b in oracle])
             np.testing.assert_allclose(member.chips.real, expected, atol=0)
 
     def test_msequence_autocorrelation_is_minus_one(self):
         for index in (0, 1):
-            chips = gold_code(5, index).chips.real
+            chips = gold_code(index).chips.real
             for lag in range(1, 31):
                 assert int(np.sum(chips * np.roll(chips, lag))) == -1
 
     def test_msequence_balance(self):
         # maximal-length property: one extra -1 chip, so the sum is exactly -1
         for index in (0, 1):
-            assert int(np.sum(gold_code(5, index).chips.real)) == -1
+            assert int(np.sum(gold_code(index).chips.real)) == -1
 
     def test_member_sums_take_three_valued_set(self):
         # XOR members sum to the pair crosscorrelation, so sums land in
         # {-1, -9, 7} (t(5) = 9); only the constituent m-sequences are
         # balanced to -1.
-        sums = {int(np.sum(g.chips.real)) for g in gold_family(5)}
+        sums = {int(np.sum(g.chips.real)) for g in gold_family()}
         assert sums == {-1, -9, 7}
 
     def test_pairwise_crosscorrelation_three_valued(self):
-        fam = [g.chips.real.astype(int) for g in gold_family(5)]
+        fam = [g.chips.real.astype(int) for g in gold_family()]
         values = set()
         for a in range(len(fam)):
             for b in range(a + 1, len(fam)):
@@ -237,24 +238,18 @@ class TestGold:
         assert values <= {-1, -9, 7}
 
     def test_family_size(self):
-        assert gold_family_size(5) == 33
-        assert len(gold_family(5)) == 33
+        assert (GOLD_N_CHIPS, GOLD_FAMILY_SIZE) == (31, 33)
+        assert len(gold_family()) == 33
+        assert {len(g) for g in gold_family()} == {31}
 
     def test_rejects_index_outside_family(self):
         with pytest.raises(ValueError):
-            gold_code(5, 33)
+            gold_code(33)
         with pytest.raises(ValueError):
-            gold_code(5, -1)
-
-    def test_other_degree_requires_taps(self):
-        with pytest.raises(ValueError):
-            gold_code(6, 0)
-        member = gold_code(6, 2, taps=((6, 1), (6, 5, 2, 1)))
-        assert len(member) == 63
-        assert set(np.round(member.chips.real).astype(int)) <= {-1, 1}
+            gold_code(-1)
 
     def test_chips_are_unit_modulus(self):
-        for g in gold_family(5):
+        for g in gold_family():
             assert np.max(np.abs(np.abs(g.chips) - 1.0)) < 1e-12
 
 
@@ -284,8 +279,8 @@ class TestChipSequence:
     *[(lambda **kw: optimal_weyl_sequence(OptimalWeylParams(**kw)),
        dict(gamma=0.1, sigma_k=1, k_max=4, n_chips=8), field, outside)
       for field, outside in (("sigma_k", 4), ("sigma_k", -1), ("k_max", 0), ("n_chips", 0))],
-    (gold_code, dict(register_degree=5, code_index=2), "code_index", 33),
-    (gold_code, dict(register_degree=5, code_index=7), "register_degree", 0),
+    (gold_code, dict(code_index=2), "code_index", 33),
+    (gold_code, dict(code_index=7), "code_index", -1),
     (van_der_corput, dict(index=6), "index", 0),
     (vdc_assignment, dict(n_users=3, n_chips=8), "n_users", 9),
     (vdc_assignment, dict(n_users=3, n_chips=8), "n_chips", 2),
@@ -293,7 +288,7 @@ class TestChipSequence:
 def test_counts_and_indices_must_be_integers_in_range(make, good, field, outside):
     # a float is never truncated: n_chips=2.5 must not give a 3-chip code, sigma_k=1.5
     # a code off the slot grid, nor code_index=2.5 a Gold code; nor is a bool a count:
-    # n_chips=True must not give a 1-chip code, nor gold_code(5, True) code 1
+    # n_chips=True must not give a 1-chip code, nor gold_code(True) code 1
     for bad in (good[field] + 0.5, float(good[field]), outside, True):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make(**{**good, field: bad})

@@ -692,7 +692,7 @@ class TestValidation:
     def test_gold_requires_mersenne_length(self):
         cfg = SimConfig(n_users=2, n_chips=31, ebn0_db=10.0, trials=10, seed=0, family="gold")
         assert family_capacity(cfg) == 33
-        # 7, 63 and 127 are 2**m - 1, but only degree 5 has a built-in preferred pair
+        # 7, 63 and 127 are 2**m - 1, but the one built-in Gold family has degree 5
         for n in (7, 30, 63, 127):
             with pytest.raises(ValueError, match="gold family has n_chips = 31"):
                 family_capacity(dataclasses.replace(cfg, n_chips=n))

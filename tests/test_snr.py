@@ -298,7 +298,8 @@ class TestLinkBudget:
         assert LinkBudget.from_db(np.int64(10), 31, 1) == LinkBudget.from_db(10.0, 31, 1)
         with pytest.raises(ValueError):
             LinkBudget(e_over_n0=0.0, n_chips=31, n_users=1)
-        for bad in (True, "10", None, math.nan, -math.inf, -1.0):
+        # 1e-320 and 5e-324 are positive, but their noise term 0.5 / e_over_n0 overflows
+        for bad in (True, "10", None, math.nan, -math.inf, -1.0, 1e-320, np.float64(1e-320), 5e-324):
             with pytest.raises(ValueError, match="e_over_n0"):
                 LinkBudget(e_over_n0=bad, n_chips=31, n_users=1)
         assert LinkBudget(e_over_n0=math.inf, n_chips=31, n_users=1).noise_term == 0.0
