@@ -27,6 +27,7 @@ from weylcdma.sequences import (
     FZCParams,
     OptimalWeylParams,
     WeylParams,
+    _gold_length,
     fzc_family_sequence,
     gold_code,
     optimal_weyl_sequence,
@@ -92,6 +93,7 @@ def _cmd_generate(args) -> int:
             OptimalWeylParams(gamma=args.gamma, sigma_k=args.sigma, k_max=kmax, n_chips=args.n)
         )
     else:  # gold
+        _gold_length(args.n)
         seq = gold_code(args.index)
     params = {"command": "generate", "family": args.family, "tag": seq.family_tag}
     rows = [(i + 1, c.real, c.imag) for i, c in enumerate(seq.chips)]

@@ -190,8 +190,11 @@ def theta_pairs(table: np.ndarray) -> np.ndarray:
     """
     n = table.shape[-1] // 2
     current, previous = table[..., n:], table[..., : n + 1]  # C(l), C(l - N) for l = 0..N
-    both = np.stack([current + previous, current - previous], axis=-2)
-    return np.stack([both[..., :-1], both[..., 1:]], axis=-1)
+    pairs = np.empty(table.shape[:-1] + (2, n, 2), dtype=table.dtype)
+    for j in (0, 1):  # [..., s, l, j] = Theta_s(l + j)
+        np.add(current[..., j : n + j], previous[..., j : n + j], out=pairs[..., 0, :, j])
+        np.subtract(current[..., j : n + j], previous[..., j : n + j], out=pairs[..., 1, :, j])
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,12 @@ GOLD_N_CHIPS = (1 << _GOLD_TAPS[0][0]) - 1  # 31
 GOLD_FAMILY_SIZE = GOLD_N_CHIPS + 2  # 33
 
 
+def _gold_length(n_chips: int) -> None:
+    """Raise unless n_chips is the built-in Gold family's length."""
+    if n_chips != GOLD_N_CHIPS:
+        raise ValueError(f"the built-in gold family has n_chips = {GOLD_N_CHIPS}, got {n_chips}")
+
+
 def _m_sequence(taps: tuple[int, ...]) -> np.ndarray:
     """Full-period m-sequence bits for the feedback polynomial with the given exponents.
 

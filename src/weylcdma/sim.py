@@ -23,17 +23,20 @@ draws each quantity q from its own PCG64 stream, SeedSequence(seed,
 spawn_key=(1, b, q)), filled user-major, so K users draw the first K
 columns of any wider draw.  Each block runs reduce(draw, noise, mai) in
 its own task; results are bit-identical whatever WEYLCDMA_THREADS (a
-positive integer; the pool is capped at the block count and the CPU
-count).  A pass reads a set of user counts (widths); mai[c] is the (t, c)
-MAI on users 0..c-1 from users 0..c-1, so those users see
-Z - g = b + mai[c], which does not depend on E/N0: an E/N0 sweep is one
-pass, and a users sweep one pass at its largest K per slot pool, whose
-points share trials.  A pass that reads one width sums all interferers
-in one contraction; one that reads several takes prefix sums over
-interferers, so its statistics agree with the one-width ones to float
-rounding.  Inside a block, the pair gather and its contraction run over
-tiles of trials holding at most ``_TILE_PAIRS`` pair rows, so a worker
-never holds the block's whole (t, K, K, 4) gather.
+positive integer, by default the usable cores; the pool is capped at the
+block count and the CPU count).  A pass reads a sorted set of user
+counts (widths); mai is a (t, W, K) array whose row j holds, in its
+first c = widths[j] columns, the MAI on users 0..c-1 from users 0..c-1,
+so those users see Z - g = b + mai[:, j, :c], which does not depend on
+E/N0: an E/N0 sweep is one pass, and a users sweep one pass at its
+largest K per slot pool, whose points share trials.  Inside a block, the
+pair gather and its contraction run over tiles of trials holding at most
+``_TILE_PAIRS`` pair rows, so a worker never holds the block's whole
+(t, K, K, 4) gather.  A pass that reads one width sums all interferers
+in one contraction and reduces the whole block at once; one that reads
+several takes prefix sums over interferers and reduces tile by tile, so
+its statistics agree with the one-width ones to float rounding and no
+(t, K, K) array outlives a tile.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ import numpy as np
 from weylcdma.correlation import _chips, _pair, aperiodic_c, aperiodic_table, theta_pairs
 from weylcdma.sequences import (
     GOLD_FAMILY_SIZE,
-    GOLD_N_CHIPS,
     AssignmentPolicy,
     OptimalWeylParams,
     FZCParams,
     _finite,
+    _gold_length,
     _integer,
     fzc_family_sequence,
     gold_family,
@@ -215,8 +218,7 @@ def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndar
             fzc_family_sequence(FZCParams(m_k=float(m), p=p, q=q, r=r, n_chips=n)).chips
             for m in indices
         ]
-    if n != GOLD_N_CHIPS:
-        raise ValueError(f"the built-in gold family has n_chips = {GOLD_N_CHIPS}, got {n}")
+    _gold_length(n)
     return GOLD_FAMILY_SIZE, 0, lambda: [s.chips for s in gold_family()]
 
 
@@ -311,20 +313,23 @@ def _noise_std(config: SimConfig) -> float:
 
 
 def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
-                    fixed_sigma: np.ndarray | None, widths: tuple[int, ...],
-                    block: int) -> tuple[TrialDraw, np.ndarray, dict[int, np.ndarray]]:
-    """Draws, unit-variance noise and MAI / (N*Tc) of one trial block.
+                    fixed_sigma: np.ndarray | None, widths: tuple[int, ...], reduce,
+                    block: int) -> list:
+    """The results of reduce(draw, noise, mai) on one trial block: its draws,
+    unit-variance noise and MAI / (N*Tc).
 
     Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
-    of Theta(l) and Theta(l+1), zero for sigma_i = sigma_k.  The MAI is
-    {c: (t, c) array} over the sorted user counts ``widths``, the largest
-    being config.n_users.  Tiles of a power-of-two trial count, so that
-    they divide the block, gather at most ``_TILE_PAIRS`` rows each (all of
-    a block for K <= 5).  One width: a receiver-major (tile, i, k, 4)
-    gather, summed over k and the 4 weights by one einsum.  Several widths:
-    an interferer-major (tile, k, i, 4) gather, reduced over the weights by
-    matmul into a (t, k, i) array whose prefix sums over k give mai[c] as
-    row c - 1.
+    of Theta(l) and Theta(l+1), zero for sigma_i = sigma_k.  mai is a
+    (t, W, K) array whose row j is the MAI at the sorted user count
+    widths[j] (its first widths[j] columns), the largest being
+    config.n_users.  Tiles of a power-of-two trial count, so that they
+    divide the block, gather at most ``_TILE_PAIRS`` rows each (all of a
+    block for K <= 5).  One width: a receiver-major (tile, i, k, 4) gather,
+    summed over k and the 4 weights by one einsum, and one reduce on the
+    whole block.  Several widths: per tile, an interferer-major
+    (tile, k, i, 4) gather, reduced over the weights by matmul into a
+    (tile, k, i) array whose prefix sums over k hold widths[j] in row
+    widths[j] - 1, and one reduce on the tile's rows, in tile order.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
@@ -346,25 +351,31 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
     # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
     cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
     weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
-    draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
+    fields = (tau, phi, bits_prev, bits_cur, sigma)  # TrialDraw's field order
     tile = min(_BLOCK, 1 << max(0, int(_TILE_PAIRS // (k * k)).bit_length() - 1))
     tiles = [slice(s, s + tile) for s in range(0, t, tile)]
     if widths == (k,):
-        mai = np.empty((t, k))
+        mai = np.empty((t, 1, k))
         for b in tiles:
             pair = np.take(table, row[b, :, None] + col[b, None, :], axis=0)
-            np.einsum("tikj,tkj->ti", pair, weights[b], out=mai[b])
-        return draw, noise, {k: mai}
-    cum = np.empty((t, k, k))  # (trial, interferer, receiver)
+            np.einsum("tikj,tkj->ti", pair, weights[b], out=mai[b, 0])
+        return [reduce(TrialDraw(*fields), noise, mai)]
+    rows = [c - 1 for c in widths]
+    results = []
     for b in tiles:
         pair = np.take(table, row[b, None, :] + col[b, :, None], axis=0)
-        np.matmul(pair, weights[b, :, :, None], out=cum[b, :, :, None])
-    np.cumsum(cum, axis=1, out=cum)
-    return draw, noise, {c: cum[:, c - 1, :c] for c in widths}
+        cum = np.matmul(pair, weights[b, :, :, None])[..., 0]  # (trial, interferer, receiver)
+        np.cumsum(cum, axis=1, out=cum)
+        results.append(reduce(TrialDraw(*(f[b] for f in fields)), noise[b], cum[:, rows]))
+    return results
 
 
 def _thread_count() -> int:
-    raw = os.environ.get(_THREADS_ENV, "1")
+    raw = os.environ.get(_THREADS_ENV)
+    if raw is None:  # the usable cores
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         threads = int(raw)
     except ValueError:
@@ -375,13 +386,13 @@ def _thread_count() -> int:
 
 
 def _map_blocks(config: SimConfig, reduce, widths: tuple[int, ...] | None = None) -> list:
-    """reduce(draw, noise, mai) of every trial block, in block order.
+    """The results of ``_simulate_block`` of every trial block, in block-then-tile order.
 
-    mai holds the sorted user counts ``widths``, the largest being
-    config.n_users (the default).  reduce runs inside the block's own
-    task, so only its result outlives the block's (t, K, K) arrays: peak
-    memory is one block per worker plus the reduced results, whatever the
-    trial count.
+    reduce(draw, noise, mai) gets mai as a (t, W, K) array over the sorted
+    user counts ``widths``, the largest being config.n_users (the default).
+    reduce runs inside the block's own task, so only its result outlives
+    the block's arrays: peak memory is one block per worker plus the
+    reduced results, whatever the trial count.
     """
     threads = _thread_count()
     pool = build_pool(config)
@@ -393,13 +404,13 @@ def _map_blocks(config: SimConfig, reduce, widths: tuple[int, ...] | None = None
     blocks = range(-(-config.trials // _BLOCK))
     workers = min(threads, len(blocks), os.cpu_count() or 1)
 
-    def run(block: int):
-        return reduce(*_simulate_block(config, table, len(pool), fixed, widths, block))
+    def run(block: int) -> list:
+        return _simulate_block(config, table, len(pool), fixed, widths, reduce, block)
 
     if workers == 1:
-        return [run(b) for b in blocks]
+        return [r for b in blocks for r in run(b)]
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(run, blocks))
+        return [r for results in executor.map(run, blocks) for r in results]
 
 
 def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
@@ -409,9 +420,9 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
     samples before scaling, and the decision statistics.  Intended for
     diagnostics and tests; use ``run_ber`` for large counts.
     """
-    k, std = config.n_users, _noise_std(config)
+    std = _noise_std(config)
     draws, noise, z = zip(*_map_blocks(
-        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[k] + std * g)))
+        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[:, 0] + std * g)))
     draw = TrialDraw(**{
         f.name: np.concatenate([getattr(d, f.name) for d in draws])
         for f in dataclasses.fields(TrialDraw)
@@ -425,9 +436,9 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns (sigma, z_err), both (trials, K); used to compare empirical
     per-slot variances against the analytic interference term.
     """
-    k, std = config.n_users, _noise_std(config)
+    std = _noise_std(config)
     sigma, z_err = zip(*_map_blocks(
-        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[k] + std * g) - d.bits_cur)))
+        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[:, 0] + std * g) - d.bits_cur)))
     return np.concatenate(sigma), np.concatenate(z_err)
 
 
@@ -435,8 +446,9 @@ def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
     """``run_ber`` of each config; the configs differ only in n_users and ebn0_db.
 
     Every config's user count is checked against its pool before any block
-    runs.  Configs with one pool share a pass at their largest K; each
-    counts errors in its first K columns.
+    runs.  Configs with one pool share a pass at their largest K, which
+    counts errors once per distinct noise level; each config reads its
+    own level and width, in its first K columns.
     """
     ks, stds = [cfg.n_users for cfg in configs], [_noise_std(cfg) for cfg in configs]
     passes: dict[tuple, list[int]] = {}
@@ -446,14 +458,23 @@ def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
     errors = {}
     for members in passes.values():
         widths = tuple(sorted({ks[i] for i in members}))
+        levels = list(dict.fromkeys(stds[i] for i in members))
 
-        def count(draw, g, mai, members=members):
-            s = {k: draw.bits_cur[:, :k] + m for k, m in mai.items()}
-            return [((s[ks[i]] + stds[i] * g[:, :ks[i]]) * draw.bits_cur[:, :ks[i]] < 0.0).sum(0)
-                    for i in members]
+        def count(draw, g, mai, levels=levels):
+            # errors (Z * b < 0) per (noise level, width, user), Z = b + mai + sd * g
+            b, g = draw.bits_cur[:, None, :], g[:, None, :]
+            per_level = []
+            for sd in levels:
+                z = b + mai
+                z += sd * g
+                z *= b
+                per_level.append(np.count_nonzero(z < 0.0, axis=0))
+            return np.stack(per_level)
 
         width = dataclasses.replace(configs[members[0]], n_users=widths[-1])
-        errors.update(zip(members, map(sum, zip(*_map_blocks(width, count, widths)))))
+        counts = sum(_map_blocks(width, count, widths))
+        for i in members:
+            errors[i] = counts[levels.index(stds[i]), widths.index(ks[i]), :ks[i]]
     results = []
     for i, cfg in enumerate(configs):
         bits, total = cfg.trials * ks[i], int(errors[i].sum())

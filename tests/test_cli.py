@@ -43,6 +43,14 @@ class TestGenerate:
         assert len(rows) == 31
         assert {round(float(r[1])) for r in rows} <= {-1, 1}
 
+    def test_gold_length_other_than_built_in_rejected(self, capsys):
+        for n in ("7", "63"):
+            code, out, err = run_cli(capsys, ["generate", "--family", "gold", "--n", n])
+            assert code == 1 and out == ""
+            assert err == f"weylcdma: the built-in gold family has n_chips = 31, got {n}\n"
+        code, out, _ = run_cli(capsys, ["generate", "--family", "gold", "--n", "31"])
+        assert code == 0 and len(data_rows(out)[1]) == 31
+
     def test_fzc_r_none(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -4,6 +4,7 @@ and sweep behavior."""
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -328,6 +329,16 @@ class TestThreads:
         np.testing.assert_array_equal(sigma_1, sigma_2)
         np.testing.assert_array_equal(err_1, err_2)
 
+    def test_default_is_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("WEYLCDMA_THREADS", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert sim._thread_count() == len(os.sched_getaffinity(0))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+            assert sim._thread_count() == 3
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)  # where affinity cannot be read
+        assert sim._thread_count() == 6
+
     @pytest.mark.parametrize("raw", ["0", "-1", "two"])
     def test_bad_thread_count_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("WEYLCDMA_THREADS", raw)
@@ -389,11 +400,11 @@ class TestBlockLayout:
         # a pass reading only K sums all interferers at once; one reading several K
         # takes prefix sums over interferers: the same MAI up to float rounding
         k = cfg.n_users
-        read = lambda draw, g, mai: mai[k]  # noqa: E731
+        read = lambda draw, g, mai: mai  # noqa: E731
         one = np.concatenate(sim._map_blocks(cfg, read))
         prefix = np.concatenate(sim._map_blocks(cfg, read, widths=(1, 2, k)))
-        assert one.shape == prefix.shape == (cfg.trials, k)
-        np.testing.assert_allclose(one, prefix, rtol=0.0, atol=1e-13)
+        assert one.shape == (cfg.trials, 1, k) and prefix.shape == (cfg.trials, 3, k)
+        np.testing.assert_allclose(one[:, 0], prefix[:, 2], rtol=0.0, atol=1e-13)
 
     def test_one_call_per_block(self, engine_layout, monkeypatch):
         blocks = []
@@ -418,8 +429,9 @@ class TestBlockLayout:
         assert peaks[1] <= 1.5 * peaks[0]
 
     def test_peak_memory_is_bounded_in_users(self, monkeypatch):
-        # a (1024, K, K, 4) gather at K = 31 alone is 31 MB; tiles hold at most
-        # sim._TILE_PAIRS pair rows, so only the (t, K, K) prefix sums grow as K^2
+        # a (1024, K, K, 4) gather at K = 31 alone is 31 MB, and (1024, K, K) prefix
+        # sums 8 MB; tiles hold at most sim._TILE_PAIRS pair rows, and a users pass
+        # takes its prefix sums and reduces tile by tile
         monkeypatch.setenv("WEYLCDMA_THREADS", "1")
         weyl = SimConfig(n_users=2, n_chips=32, ebn0_db=25.0, trials=1024, seed=3,
                          gamma=1 / 64, k_max=32)
@@ -434,7 +446,7 @@ class TestBlockLayout:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 24 * 2**20
+            assert peak < 12 * 2**20
 
     def test_tile_split_does_not_change_results(self, engine_layout, monkeypatch):
         # K = 16 against one tile per block: 1-trial tiles, 32-trial tiles (the last
@@ -444,9 +456,8 @@ class TestBlockLayout:
         users = (2, 9, 16)
 
         def run():
-            mai = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai[16]))
-            prefix = [np.concatenate(m) for m in zip(*sim._map_blocks(
-                cfg, lambda draw, g, mai: [mai[c] for c in users], users))]
+            mai = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai[:, 0]))
+            prefix = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai, users))
             return run_ber(cfg), sweep(cfg, "users", users), mai, prefix
 
         default = sim._TILE_PAIRS
@@ -459,8 +470,8 @@ class TestBlockLayout:
             np.testing.assert_array_equal(tiled_ber.per_user_ber, ber.per_user_ber)
             assert tiled_rows == rows
             np.testing.assert_allclose(tiled_mai, mai, rtol=0.0, atol=1e-13)
-            for tiled, ref in zip(tiled_prefix, prefix, strict=True):
-                np.testing.assert_allclose(tiled, ref, rtol=0.0, atol=1e-13)
+            assert tiled_prefix.shape == prefix.shape == (cfg.trials, len(users), 16)
+            np.testing.assert_allclose(tiled_prefix, prefix, rtol=0.0, atol=1e-13)
 
 
 class TestVarianceBridge:
