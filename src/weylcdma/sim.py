@@ -34,9 +34,10 @@ pair gather and its contraction run over tiles of trials holding at most
 ``_TILE_PAIRS`` pair rows, so a worker never holds the block's whole
 (t, K, K, 4) gather.  A pass that reads one width sums all interferers
 in one contraction and reduces the whole block at once; one that reads
-several takes prefix sums over interferers and reduces tile by tile, so
-its statistics agree with the one-width ones to float rounding and no
-(t, K, K) array outlives a tile.
+several takes prefix sums over interferers and reduces tile by tile,
+summing the block's tile results in its task, so its statistics agree
+with the one-width ones to float rounding, no (t, K, K) array outlives a
+tile, and each block leaves one result.
 """
 
 from __future__ import annotations
@@ -314,9 +315,9 @@ def _noise_std(config: SimConfig) -> float:
 
 def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
                     fixed_sigma: np.ndarray | None, widths: tuple[int, ...], reduce,
-                    block: int) -> list:
-    """The results of reduce(draw, noise, mai) on one trial block: its draws,
-    unit-variance noise and MAI / (N*Tc).
+                    block: int):
+    """reduce(draw, noise, mai) on one trial block: its draws, unit-variance
+    noise and MAI / (N*Tc).
 
     Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
     of Theta(l) and Theta(l+1), zero for sigma_i = sigma_k.  mai is a
@@ -329,7 +330,9 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
     whole block.  Several widths: per tile, an interferer-major
     (tile, k, i, 4) gather, reduced over the weights by matmul into a
     (tile, k, i) array whose prefix sums over k hold widths[j] in row
-    widths[j] - 1, and one reduce on the tile's rows, in tile order.
+    widths[j] - 1, and one reduce on the tile's rows; the block's result
+    is the sum (``+``, in tile order) of its tiles' results, so reduce
+    returns a count array, or a list to be concatenated.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
@@ -351,7 +354,7 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
     # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
     cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
     weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
-    fields = (tau, phi, bits_prev, bits_cur, sigma)  # TrialDraw's field order
+    draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
     tile = min(_BLOCK, 1 << max(0, int(_TILE_PAIRS // (k * k)).bit_length() - 1))
     tiles = [slice(s, s + tile) for s in range(0, t, tile)]
     if widths == (k,):
@@ -359,15 +362,17 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
         for b in tiles:
             pair = np.take(table, row[b, :, None] + col[b, None, :], axis=0)
             np.einsum("tikj,tkj->ti", pair, weights[b], out=mai[b, 0])
-        return [reduce(TrialDraw(*fields), noise, mai)]
+        return reduce(draw, noise, mai)
     rows = [c - 1 for c in widths]
-    results = []
+    result = None
     for b in tiles:
         pair = np.take(table, row[b, None, :] + col[b, :, None], axis=0)
         cum = np.matmul(pair, weights[b, :, :, None])[..., 0]  # (trial, interferer, receiver)
         np.cumsum(cum, axis=1, out=cum)
-        results.append(reduce(TrialDraw(*(f[b] for f in fields)), noise[b], cum[:, rows]))
-    return results
+        rows_b = TrialDraw(**{f.name: getattr(draw, f.name)[b] for f in dataclasses.fields(draw)})
+        part = reduce(rows_b, noise[b], cum[:, rows])
+        result = part if result is None else result + part
+    return result
 
 
 def _thread_count() -> int:
@@ -386,13 +391,14 @@ def _thread_count() -> int:
 
 
 def _map_blocks(config: SimConfig, reduce, widths: tuple[int, ...] | None = None) -> list:
-    """The results of ``_simulate_block`` of every trial block, in block-then-tile order.
+    """The result of ``_simulate_block`` of every trial block, in block order.
 
     reduce(draw, noise, mai) gets mai as a (t, W, K) array over the sorted
     user counts ``widths``, the largest being config.n_users (the default).
-    reduce runs inside the block's own task, so only its result outlives
-    the block's arrays: peak memory is one block per worker plus the
-    reduced results, whatever the trial count.
+    reduce runs inside the block's own task, and a block's tiles are summed
+    there, so only one result per block outlives the block's arrays: peak
+    memory is one block per worker plus the reduced results, whatever the
+    trial count.
     """
     threads = _thread_count()
     pool = build_pool(config)
@@ -404,13 +410,13 @@ def _map_blocks(config: SimConfig, reduce, widths: tuple[int, ...] | None = None
     blocks = range(-(-config.trials // _BLOCK))
     workers = min(threads, len(blocks), os.cpu_count() or 1)
 
-    def run(block: int) -> list:
+    def run(block: int):
         return _simulate_block(config, table, len(pool), fixed, widths, reduce, block)
 
     if workers == 1:
-        return [r for b in blocks for r in run(b)]
+        return [run(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        return [r for results in executor.map(run, blocks) for r in results]
+        return list(executor.map(run, blocks))
 
 
 def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:

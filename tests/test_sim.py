@@ -356,6 +356,16 @@ def engine_layout(request, monkeypatch):
 # 2100 trials: three blocks, the last one partial
 PREFIX_BASE = SimConfig(n_users=1, n_chips=16, ebn0_db=6.0, trials=2100, seed=23,
                         gamma=1 / 32, k_max=16)
+# the users sweep of fig3's weyl curve: the widest users pass
+USERS_BASE = SimConfig(n_users=2, n_chips=32, ebn0_db=25.0, trials=1024, seed=3,
+                       gamma=1 / 64, k_max=32)
+
+
+def prefix_mai(cfg, widths):
+    """The (trials, W, K) MAI of a pass over several widths; it reduces tile by tile,
+    and a list result concatenates a block's tiles."""
+    blocks = sim._map_blocks(cfg, lambda draw, g, mai: [mai], widths)
+    return np.concatenate([mai for tiles in blocks for mai in tiles])
 
 
 class TestBlockLayout:
@@ -400,9 +410,8 @@ class TestBlockLayout:
         # a pass reading only K sums all interferers at once; one reading several K
         # takes prefix sums over interferers: the same MAI up to float rounding
         k = cfg.n_users
-        read = lambda draw, g, mai: mai  # noqa: E731
-        one = np.concatenate(sim._map_blocks(cfg, read))
-        prefix = np.concatenate(sim._map_blocks(cfg, read, widths=(1, 2, k)))
+        one = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai))
+        prefix = prefix_mai(cfg, (1, 2, k))
         assert one.shape == (cfg.trials, 1, k) and prefix.shape == (cfg.trials, 3, k)
         np.testing.assert_allclose(one[:, 0], prefix[:, 2], rtol=0.0, atol=1e-13)
 
@@ -428,17 +437,29 @@ class TestBlockLayout:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_users_pass_peak_memory_does_not_grow_with_trials(self, monkeypatch):
+        # a users pass reduces tile by tile; 19 more blocks may keep one small
+        # reduced result each, not one per tile
+        monkeypatch.setenv("WEYLCDMA_THREADS", "1")
+        peaks = []
+        for trials in (1024, 20 * 1024):
+            tracemalloc.start()
+            try:
+                sweep(dataclasses.replace(USERS_BASE, trials=trials), "users", range(2, 33))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
+
     def test_peak_memory_is_bounded_in_users(self, monkeypatch):
         # a (1024, K, K, 4) gather at K = 31 alone is 31 MB, and (1024, K, K) prefix
         # sums 8 MB; tiles hold at most sim._TILE_PAIRS pair rows, and a users pass
         # takes its prefix sums and reduces tile by tile
         monkeypatch.setenv("WEYLCDMA_THREADS", "1")
-        weyl = SimConfig(n_users=2, n_chips=32, ebn0_db=25.0, trials=1024, seed=3,
-                         gamma=1 / 64, k_max=32)
         for run in (
             lambda: run_ber(SimConfig(n_users=31, n_chips=31, ebn0_db=25.0, trials=1024, seed=3,
                                       family="optimal", gamma=1 / 62)),
-            lambda: sweep(weyl, "users", range(2, 33)),
+            lambda: sweep(USERS_BASE, "users", range(2, 33)),
         ):
             tracemalloc.start()
             try:
@@ -457,7 +478,7 @@ class TestBlockLayout:
 
         def run():
             mai = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai[:, 0]))
-            prefix = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai, users))
+            prefix = prefix_mai(cfg, users)
             return run_ber(cfg), sweep(cfg, "users", users), mai, prefix
 
         default = sim._TILE_PAIRS
