@@ -21,23 +21,28 @@ ratios), and each trial decides exactly one symbol per user.
 Determinism: the unit of work is the block of ``_BLOCK`` trials.  Block b
 draws each quantity q from its own PCG64 stream, SeedSequence(seed,
 spawn_key=(1, b, q)), filled user-major, so K users draw the first K
-columns of any wider draw.  Each block runs reduce(draw, noise, mai) in
-its own task; results are bit-identical whatever WEYLCDMA_THREADS (a
-positive integer, by default the usable cores; the pool is capped at the
-block count and the CPU count).  A pass reads a sorted set of user
-counts (widths); mai is a (t, W, K) array whose row j holds, in its
-first c = widths[j] columns, the MAI on users 0..c-1 from users 0..c-1,
-so those users see Z - g = b + mai[:, j, :c], which does not depend on
-E/N0: an E/N0 sweep is one pass, and a users sweep one pass at its
-largest K per slot pool, whose points share trials.  Inside a block, the
-pair gather and its contraction run over tiles of trials holding at most
-``_TILE_PAIRS`` pair rows, so a worker never holds the block's whole
-(t, K, K, 4) gather.  A pass that reads one width sums all interferers
-in one contraction and reduces the whole block at once; one that reads
-several takes prefix sums over interferers and reduces tile by tile,
-summing the block's tile results in its task, so its statistics agree
-with the one-width ones to float rounding, no (t, K, K) array outlives a
-tile, and each block leaves one result.
+columns of any wider draw, and a pool of P slots the first P rows of
+wider slot keys.  Each block runs reduce(draw, noise, mai) in its own
+task; results are bit-identical whatever WEYLCDMA_THREADS (a positive
+integer, by default the usable cores; the pool is capped at the block
+count and the CPU count).  A pass is one draw stream (every config field
+but n_users and ebn0_db): each block draws once, at the pass's largest
+K, and each slot pool of the pass reads a sorted set of user counts
+(widths) in its first columns.  mai is a (t, W, c) array whose row j
+holds, in its first widths[j] columns, the MAI on those users from those
+users, so they see Z - g = b + mai[:, j, :widths[j]], which does not
+depend on E/N0: a sweep along either axis is one pass, whose points
+share trials.  Only "optimal" without k_max has several pools, one per
+K; such a pass builds each pool's table inside each block, one at a
+time.  Inside a block, the gather and its contraction run over tiles of
+trials holding at most ``_TILE_PAIRS`` pair rows, so a worker never
+holds the block's whole (t, K, K, 4) gather.  A pool that reads one
+width sums all interferers in one contraction (per slot when every slot
+is occupied) and reduces the whole block at once; one that reads several
+takes prefix sums over interferers and reduces tile by tile, summing the
+block's tile results in its task, so its statistics agree with the
+one-width ones to float rounding, no (t, K, K) array outlives a tile,
+and each block leaves one result per pool.
 """
 
 from __future__ import annotations
@@ -313,35 +318,60 @@ def _noise_std(config: SimConfig) -> float:
     return math.sqrt(LinkBudget.from_db(config.ebn0_db, config.n_chips, config.n_users).noise_term)
 
 
-def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
-                    fixed_sigma: np.ndarray | None, widths: tuple[int, ...], reduce,
-                    block: int):
-    """reduce(draw, noise, mai) on one trial block: its draws, unit-variance
-    noise and MAI / (N*Tc).
+def _pair_table(config: SimConfig, per_slot: bool) -> np.ndarray:
+    """The pool's pair terms as rows of [Re, Im] of Theta(l) and Theta(l+1), zero
+    for a slot on itself.
 
-    Row ((sigma_i * F + sigma_k) * 2 + flip) * N + l of table holds [Re, Im]
-    of Theta(l) and Theta(l+1), zero for sigma_i = sigma_k.  mai is a
-    (t, W, K) array whose row j is the MAI at the sorted user count
-    widths[j] (its first widths[j] columns), the largest being
-    config.n_users.  Tiles of a power-of-two trial count, so that they
-    divide the block, gather at most ``_TILE_PAIRS`` rows each (all of a
-    block for K <= 5).  One width: a receiver-major (tile, i, k, 4) gather,
-    summed over k and the 4 weights by one einsum, and one reduce on the
-    whole block.  Several widths: per tile, an interferer-major
-    (tile, k, i, 4) gather, reduced over the weights by matmul into a
-    (tile, k, i) array whose prefix sums over k hold widths[j] in row
-    widths[j] - 1, and one reduce on the tile's rows; the block's result
-    is the sum (``+``, in tile order) of its tiles' results, so reduce
+    Receiver-major: row ((sigma_i * F + sigma_k) * 2 + flip) * N + l holds those
+    four numbers.  Slot-major (per_slot): row (sigma_k * 2 + flip) * N + l holds
+    them for every receiver slot as a (4, F) block, written in place from the
+    lag table (no transposed copy).
+    """
+    c = aperiodic_table(build_pool(config))
+    f, n = len(c), c.shape[-1] // 2
+    c[np.arange(f), np.arange(f)] = 0.0  # no self-interference
+    if not per_slot:
+        return theta_pairs(c).view(np.float64).reshape(-1, 4)
+    c = np.moveaxis(c, 0, -1)  # (interferer, lag, receiver)
+    table = np.empty((f, 2, n, 2, 2, f))
+    for j in (0, 1):  # as theta_pairs: Theta_s(l + j) from C(l + j) and C(l + j - N)
+        current, previous = c[:, n + j : 2 * n + j], c[:, j : n + j]
+        for s, op in enumerate((np.add, np.subtract)):
+            op(current.real, previous.real, out=table[:, s, :, j, 0])
+            op(current.imag, previous.imag, out=table[:, s, :, j, 1])
+    return table.reshape(f * 2 * n, 4 * f)
+
+
+def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -> list:
+    """[reduce(draw, noise, mai) of each pool] on one trial block: the pool's
+    draws, unit-variance noise and MAI / (N*Tc).
+
+    The block draws once, at config.n_users and at the largest pool size; a
+    pool (config, size, fixed sigma or None, widths, table or None) reads the
+    first c = widths[-1] columns.  mai is a (t, W, c) array whose row j is the
+    MAI at the sorted user count widths[j] (its first widths[j] columns).  A
+    pool with no table builds its own (``_pair_table``) here and drops it on
+    return, before the next pool's.  Tiles of a power-of-two trial count, so
+    that they divide the block, gather at most ``_TILE_PAIRS`` rows each (all
+    of a block for c <= 5).  One width, every slot occupied (size = c): per
+    tile, a gather of one slot-major (4, F) row per interferer, contracted
+    with its weights by one batched matmul into the MAI at every slot, which
+    each user reads at its own.  One width, free slots: a receiver-major
+    (tile, i, k, 4) gather, summed over k and the 4 weights by one einsum.
+    Either reduces the whole block once.  Several widths: per tile, an
+    interferer-major (tile, k, i, 4) gather, reduced over the weights by
+    matmul into a (tile, k, i) array whose prefix sums over k hold widths[j]
+    in row widths[j] - 1, and one reduce on the tile's rows; the pool's
+    result is the sum (``+``, in tile order) of its tiles' results, so reduce
     returns a count array, or a list to be concatenated.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
     keys, tau, phi, prev, cur, noise = map(
         np.random.default_rng, np.random.SeedSequence(config.seed, spawn_key=(1, block)).spawn(6))
-    if fixed_sigma is None:
-        sigma = np.argsort(keys.random((pool_size, t)).T, axis=1)[:, :k]
-    else:
-        sigma = np.broadcast_to(fixed_sigma, (t, k))
+    random_sizes = [size for _, size, fixed, _, _ in pools if fixed is None]
+    if random_sizes:  # a smaller pool reads the first rows
+        keys = keys.random((max(random_sizes), t))
     tau = tau.random((k, t)).T * (n * TC)
     phi = phi.random((k, t)).T * (2.0 * np.pi)
     bits_prev = prev.integers(0, 2, size=(k, t)).T * 2.0 - 1.0
@@ -349,30 +379,58 @@ def _simulate_block(config: SimConfig, table: np.ndarray, pool_size: int,
     noise = noise.standard_normal((k, t)).T
     l = np.floor(tau / TC).astype(np.int64)
     w = tau - l * TC
-    row = sigma * (pool_size * 2 * n)
-    col = (sigma * 2 + (bits_prev != bits_cur)) * n + l
+    lag = (bits_prev != bits_cur) * n + l  # row within a slot pair's 2N rows
     # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
     cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
     weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
-    draw = TrialDraw(tau=tau, phi=phi, bits_prev=bits_prev, bits_cur=bits_cur, sigma=sigma)
-    tile = min(_BLOCK, 1 << max(0, int(_TILE_PAIRS // (k * k)).bit_length() - 1))
-    tiles = [slice(s, s + tile) for s in range(0, t, tile)]
-    if widths == (k,):
-        mai = np.empty((t, 1, k))
+    del l, w, cos, sin
+
+    def reduce_pool(pool_config, size, widths, table, sigma):
+        c = widths[-1]
+        if table is None:
+            table = _pair_table(pool_config, widths == (size,))
+        draw = TrialDraw(tau=tau[:, :c], phi=phi[:, :c], bits_prev=bits_prev[:, :c],
+                         bits_cur=bits_cur[:, :c], sigma=sigma)
+        g, wt, col = noise[:, :c], weights[:, :c], sigma * (2 * n) + lag[:, :c]
+        tile = min(_BLOCK, 1 << max(0, int(_TILE_PAIRS // (c * c)).bit_length() - 1))
+        tiles = [slice(s, s + tile) for s in range(0, t, tile)]
+        if widths == (size,):
+            mai = np.empty((t, 1, c))
+            for b in tiles:
+                rows = np.take(table, col[b], axis=0).reshape(-1, 4 * c, size)
+                # contiguous weights: the matmul's rounding must not depend on the pass
+                slot_mai = np.matmul(np.ascontiguousarray(wt[b]).reshape(-1, 1, 4 * c), rows)
+                mai[b, 0] = np.take_along_axis(slot_mai[:, 0], sigma[b], axis=1)
+            return reduce(draw, g, mai)
+        row = sigma * (size * 2 * n)
+        if widths == (c,):
+            mai = np.empty((t, 1, c))
+            for b in tiles:
+                pair = np.take(table, row[b, :, None] + col[b, None, :], axis=0)
+                np.einsum("tikj,tkj->ti", pair, wt[b], out=mai[b, 0])
+            return reduce(draw, g, mai)
+        prefix_rows = [width - 1 for width in widths]
+        result = None
         for b in tiles:
-            pair = np.take(table, row[b, :, None] + col[b, None, :], axis=0)
-            np.einsum("tikj,tkj->ti", pair, weights[b], out=mai[b, 0])
-        return reduce(draw, noise, mai)
-    rows = [c - 1 for c in widths]
-    result = None
-    for b in tiles:
-        pair = np.take(table, row[b, None, :] + col[b, :, None], axis=0)
-        cum = np.matmul(pair, weights[b, :, :, None])[..., 0]  # (trial, interferer, receiver)
-        np.cumsum(cum, axis=1, out=cum)
-        rows_b = TrialDraw(**{f.name: getattr(draw, f.name)[b] for f in dataclasses.fields(draw)})
-        part = reduce(rows_b, noise[b], cum[:, rows])
-        result = part if result is None else result + part
-    return result
+            pair = np.take(table, row[b, None, :] + col[b, :, None], axis=0)
+            cum = np.matmul(pair, wt[b, :, :, None])[..., 0]  # (trial, interferer, receiver)
+            np.cumsum(cum, axis=1, out=cum)
+            rows_b = TrialDraw(**{f.name: getattr(draw, f.name)[b]
+                                  for f in dataclasses.fields(draw)})
+            part = reduce(rows_b, g[b], cum[:, prefix_rows])
+            result = part if result is None else result + part
+        return result
+
+    results = []
+    for pool_config, size, fixed, widths, table in pools:
+        if fixed is None:
+            sigma = np.argsort(keys[:size].T, axis=1)[:, :widths[-1]]
+        else:
+            sigma = np.broadcast_to(fixed, (t, widths[-1]))
+        if len(results) == len(pools) - 1:
+            del keys  # the last pool's slots are drawn: its gather runs without the keys
+        results.append(reduce_pool(pool_config, size, widths, table, sigma))
+    return results
 
 
 def _thread_count() -> int:
@@ -390,33 +448,41 @@ def _thread_count() -> int:
     return threads
 
 
-def _map_blocks(config: SimConfig, reduce, widths: tuple[int, ...] | None = None) -> list:
-    """The result of ``_simulate_block`` of every trial block, in block order.
+def _map_blocks(config: SimConfig, reduce, pools: list[tuple[int, ...]] | None = None) -> list:
+    """Each slot pool's ``_simulate_block`` results, one per trial block, in block order.
 
-    reduce(draw, noise, mai) gets mai as a (t, W, K) array over the sorted
-    user counts ``widths``, the largest being config.n_users (the default).
+    config is the pass's draw stream at its largest user count.  pools holds
+    the sorted user counts (widths) that each slot pool of the pass reads, by
+    default one pool at config.n_users; the pool of widths serves config
+    with n_users = widths[-1].  reduce(draw, noise, mai) gets a pool's first
+    widths[-1] columns and mai as a (t, W, widths[-1]) array over its widths.
     reduce runs inside the block's own task, and a block's tiles are summed
-    there, so only one result per block outlives the block's arrays: peak
-    memory is one block per worker plus the reduced results, whatever the
-    trial count.
+    there, so only one result per pool and block outlives the block's
+    arrays.  A pass of one pool builds its table once; a pass of several
+    builds each pool's table inside each block, one at a time, so a worker
+    holds one block and at most one table, whatever the trial count and the
+    number of pools.
     """
     threads = _thread_count()
-    pool = build_pool(config)
-    pairs = theta_pairs(aperiodic_table(pool))
-    pairs[np.arange(len(pool)), np.arange(len(pool))] = 0.0  # no self-interference
-    table = pairs.view(np.float64).reshape(-1, 4)
-    fixed = _fixed_assignment(config, len(pool))
-    widths = widths or (config.n_users,)
+    pools = pools or [(config.n_users,)]
+    specs = []
+    for widths in pools:
+        pool_config = dataclasses.replace(config, n_users=widths[-1])
+        size = _family_pool(pool_config)[0]
+        table = _pair_table(pool_config, widths == (size,)) if len(pools) == 1 else None
+        specs.append((pool_config, size, _fixed_assignment(pool_config, size), widths, table))
     blocks = range(-(-config.trials // _BLOCK))
     workers = min(threads, len(blocks), os.cpu_count() or 1)
 
     def run(block: int):
-        return _simulate_block(config, table, len(pool), fixed, widths, reduce, block)
+        return _simulate_block(config, specs, reduce, block)
 
     if workers == 1:
-        return [run(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(run, blocks))
+        results = [run(b) for b in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            results = list(executor.map(run, blocks))
+    return [list(parts) for parts in zip(*results)]
 
 
 def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
@@ -428,7 +494,7 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
     """
     std = _noise_std(config)
     draws, noise, z = zip(*_map_blocks(
-        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[:, 0] + std * g)))
+        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[:, 0] + std * g))[0])
     draw = TrialDraw(**{
         f.name: np.concatenate([getattr(d, f.name) for d in draws])
         for f in dataclasses.fields(TrialDraw)
@@ -444,27 +510,30 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     std = _noise_std(config)
     sigma, z_err = zip(*_map_blocks(
-        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[:, 0] + std * g) - d.bits_cur)))
+        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[:, 0] + std * g) - d.bits_cur))[0])
     return np.concatenate(sigma), np.concatenate(z_err)
 
 
 def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
-    """``run_ber`` of each config; the configs differ only in n_users and ebn0_db.
+    """``run_ber`` of each config, in one engine pass per draw stream.
 
-    Every config's user count is checked against its pool before any block
-    runs.  Configs with one pool share a pass at their largest K, which
-    counts errors once per distinct noise level; each config reads its
-    own level and width, in its first K columns.
+    A draw stream is every config field but n_users and ebn0_db.  Every
+    config's user count is checked against its pool before any block runs.
+    A pass draws once, at its largest K, and counts errors once per distinct
+    noise level and slot pool, at the pool's user counts; each config reads
+    its own level, pool and width, in its first K columns.
     """
     ks, stds = [cfg.n_users for cfg in configs], [_noise_std(cfg) for cfg in configs]
-    passes: dict[tuple, list[int]] = {}
+    stream = [f.name for f in dataclasses.fields(SimConfig) if f.name not in ("n_users", "ebn0_db")]
+    passes: dict[tuple, dict[int, list[int]]] = {}
     for i, cfg in enumerate(configs):
-        pool_key = (dataclasses.replace(cfg, n_users=1, ebn0_db=0.0), _serving_pool(cfg)[0])
-        passes.setdefault(pool_key, []).append(i)
+        by_pool = passes.setdefault(tuple(getattr(cfg, name) for name in stream), {})
+        by_pool.setdefault(_serving_pool(cfg)[0], []).append(i)
     errors = {}
-    for members in passes.values():
-        widths = tuple(sorted({ks[i] for i in members}))
-        levels = list(dict.fromkeys(stds[i] for i in members))
+    for by_pool in passes.values():
+        groups = list(by_pool.values())
+        levels = list(dict.fromkeys(stds[i] for group in groups for i in group))
+        pools = [tuple(sorted({ks[i] for i in group})) for group in groups]
 
         def count(draw, g, mai, levels=levels):
             # errors (Z * b < 0) per (noise level, width, user), Z = b + mai + sd * g
@@ -477,10 +546,11 @@ def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
                 per_level.append(np.count_nonzero(z < 0.0, axis=0))
             return np.stack(per_level)
 
-        width = dataclasses.replace(configs[members[0]], n_users=widths[-1])
-        counts = sum(_map_blocks(width, count, widths))
-        for i in members:
-            errors[i] = counts[levels.index(stds[i]), widths.index(ks[i]), :ks[i]]
+        widest = dataclasses.replace(configs[groups[0][0]], n_users=max(w[-1] for w in pools))
+        for group, widths, parts in zip(groups, pools, _map_blocks(widest, count, pools)):
+            counts = sum(parts)
+            for i in group:
+                errors[i] = counts[levels.index(stds[i]), widths.index(ks[i]), :ks[i]]
     results = []
     for i, cfg in enumerate(configs):
         bits, total = cfg.trials * ks[i], int(errors[i].sum())
@@ -502,7 +572,8 @@ def run_ber(config: SimConfig) -> BERResult:
 def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
     """Run the template at each axis value ("users" or "ebn0"), checking every value first.
 
-    One engine pass per slot pool, so one per K only for "optimal" without k_max.
+    One engine pass: the values share one draw stream, whose slot pools each
+    read their own user counts (one pool per K for "optimal" without k_max).
     """
     if axis not in ("users", "ebn0"):
         raise ValueError('axis must be "users" or "ebn0"')

@@ -194,9 +194,22 @@ class TestDecisionStatistic:
         assert abs(sample_var - target) < 3.0 * se
 
 
+def assert_engine_matches_scalar_path(cfg):
+    """Every decision statistic of simulate_trials equals the scalar decision_statistic."""
+    draws, noise, zs = simulate_trials(cfg)
+    pool = build_pool(cfg)
+    budget = LinkBudget.from_db(cfg.ebn0_db, cfg.n_chips, cfg.n_users)
+    for t in range(cfg.trials):
+        draw = trial_row(draws, t)
+        seqs = [pool[m] for m in draw.sigma]
+        for i in range(cfg.n_users):
+            z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
+            assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
+
+
 class TestEngineConsistency:
     def test_vectorized_matches_scalar_path(self):
-        cfg = SimConfig(
+        assert_engine_matches_scalar_path(SimConfig(
             n_users=5,
             n_chips=16,
             ebn0_db=18.0,
@@ -206,30 +219,22 @@ class TestEngineConsistency:
             policy="random",
             gamma=1 / 32,
             k_max=16,
-        )
-        draws, noise, zs = simulate_trials(cfg)
-        pool = build_pool(cfg)
-        budget = LinkBudget.from_db(cfg.ebn0_db, cfg.n_chips, cfg.n_users)
-        for t in range(cfg.trials):
-            draw = trial_row(draws, t)
-            seqs = [pool[m] for m in draw.sigma]
-            for i in range(cfg.n_users):
-                z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
-                assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
+        ))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(family="optimal", gamma=1 / 62),
+        dict(family="weyl", gamma=1 / 12, k_max=6, policy="fixed"),
+    ], ids=["optimal", "weyl-kmax-k"])
+    def test_every_slot_occupied_matches_scalar_path(self, overrides):
+        # pool size = K: the per-slot contraction, read at each user's slot
+        cfg = SimConfig(n_users=6, n_chips=31, ebn0_db=18.0, trials=12, seed=98, **overrides)
+        assert sim._family_pool(cfg)[0] == cfg.n_users
+        assert_engine_matches_scalar_path(cfg)
 
     def test_gold_and_fzc_pools(self):
         for kind, n in (("gold", 31), ("fzc", 31)):
-            cfg = SimConfig(n_users=4, n_chips=n, ebn0_db=20.0, trials=6, seed=3,
-                            family=kind)
-            draws, noise, zs = simulate_trials(cfg)
-            pool = build_pool(cfg)
-            budget = LinkBudget.from_db(20.0, n, 4)
-            for t in range(cfg.trials):
-                draw = trial_row(draws, t)
-                seqs = [pool[m] for m in draw.sigma]
-                for i in range(cfg.n_users):
-                    z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
-                    assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
+            assert_engine_matches_scalar_path(SimConfig(n_users=4, n_chips=n, ebn0_db=20.0,
+                                                        trials=6, seed=3, family=kind))
 
     @pytest.mark.parametrize("family", ["weyl", "gold", "optimal", "fzc"])
     def test_single_user_statistic_is_bits_plus_noise(self, family):
@@ -359,12 +364,15 @@ PREFIX_BASE = SimConfig(n_users=1, n_chips=16, ebn0_db=6.0, trials=2100, seed=23
 # the users sweep of fig3's weyl curve: the widest users pass
 USERS_BASE = SimConfig(n_users=2, n_chips=32, ebn0_db=25.0, trials=1024, seed=3,
                        gamma=1 / 64, k_max=32)
+# the users sweep of fig1's optimal curve: one slot pool per K, every slot occupied
+OPTIMAL_USERS = SimConfig(n_users=2, n_chips=31, ebn0_db=25.0, trials=1024, seed=3,
+                          family="optimal", gamma=1 / 62)
 
 
 def prefix_mai(cfg, widths):
     """The (trials, W, K) MAI of a pass over several widths; it reduces tile by tile,
     and a list result concatenates a block's tiles."""
-    blocks = sim._map_blocks(cfg, lambda draw, g, mai: [mai], widths)
+    [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: [mai], [widths])
     return np.concatenate([mai for tiles in blocks for mai in tiles])
 
 
@@ -393,7 +401,12 @@ class TestBlockLayout:
          [3, 30, 1]),
         (SimConfig(n_users=2, n_chips=16, ebn0_db=6.0, trials=1500, seed=34, family="optimal",
                    gamma=1 / 32), [2, 5, 16]),
-    ], ids=["weyl", "gold", "fzc", "optimal"])
+        # one pass over three blocks serves five slot pools, each at its own K
+        *((SimConfig(n_users=2, n_chips=31, ebn0_db=6.0, trials=2500, seed=35, family="optimal",
+                     gamma=1 / 62, policy=policy), [2, 5, 9, 17, 31])
+          for policy in ("random", "fixed", "sequential")),
+    ], ids=["weyl", "gold", "fzc", "optimal", "optimal-pools-random", "optimal-pools-fixed",
+            "optimal-pools-sequential"])
     def test_users_axis_matches_run_ber(self, engine_layout, cfg, values):
         points = assert_sweep_matches_run_ber(cfg, "users", values)
         assert all(point.error_count > 0 for point in points)
@@ -410,7 +423,8 @@ class TestBlockLayout:
         # a pass reading only K sums all interferers at once; one reading several K
         # takes prefix sums over interferers: the same MAI up to float rounding
         k = cfg.n_users
-        one = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai))
+        [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: mai)
+        one = np.concatenate(blocks)
         prefix = prefix_mai(cfg, (1, 2, k))
         assert one.shape == (cfg.trials, 1, k) and prefix.shape == (cfg.trials, 3, k)
         np.testing.assert_allclose(one[:, 0], prefix[:, 2], rtol=0.0, atol=1e-13)
@@ -424,6 +438,25 @@ class TestBlockLayout:
             blocks.clear()
             sweep(dataclasses.replace(PREFIX_BASE, trials=trials), "users", [2, 5])  # one pass
             assert sorted(blocks) == list(range(math.ceil(trials / 1024)))
+
+    def test_one_pass_per_draw_stream(self, engine_layout, monkeypatch):
+        # the 30 pools of an optimal users sweep share one pass, each pool building its
+        # table once per block; a one-pool pass builds its table once
+        blocks, tables = [], []
+        simulate_block, aperiodic_table = sim._simulate_block, sim.aperiodic_table
+        monkeypatch.setattr(sim, "_simulate_block",
+                            lambda *args: blocks.append(args[-1]) or simulate_block(*args))
+        monkeypatch.setattr(sim, "aperiodic_table",
+                            lambda pool: tables.append(len(pool)) or aperiodic_table(pool))
+        sweep(dataclasses.replace(OPTIMAL_USERS, trials=2500), "users", range(2, 32))
+        assert sorted(blocks) == [0, 1, 2]
+        assert sorted(tables) == sorted(list(range(2, 32)) * 3)
+        blocks.clear()
+        tables.clear()
+        sweep(dataclasses.replace(OPTIMAL_USERS, n_users=7, trials=20 * 1024), "ebn0",
+              [0.0, 10.0, 25.0])
+        assert sorted(blocks) == list(range(20))
+        assert tables == [7]
 
     def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
         monkeypatch.setenv("WEYLCDMA_THREADS", "1")
@@ -441,15 +474,16 @@ class TestBlockLayout:
         # a users pass reduces tile by tile; 19 more blocks may keep one small
         # reduced result each, not one per tile
         monkeypatch.setenv("WEYLCDMA_THREADS", "1")
-        peaks = []
-        for trials in (1024, 20 * 1024):
-            tracemalloc.start()
-            try:
-                sweep(dataclasses.replace(USERS_BASE, trials=trials), "users", range(2, 33))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 2**20
+        for base, users in ((USERS_BASE, range(2, 33)), (OPTIMAL_USERS, range(2, 32))):
+            peaks = []
+            for trials in (1024, 20 * 1024):
+                tracemalloc.start()
+                try:
+                    sweep(dataclasses.replace(base, trials=trials), "users", users)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= peaks[0] + 2**20, base.family
 
     def test_peak_memory_is_bounded_in_users(self, monkeypatch):
         # a (1024, K, K, 4) gather at K = 31 alone is 31 MB, and (1024, K, K) prefix
@@ -460,6 +494,7 @@ class TestBlockLayout:
             lambda: run_ber(SimConfig(n_users=31, n_chips=31, ebn0_db=25.0, trials=1024, seed=3,
                                       family="optimal", gamma=1 / 62)),
             lambda: sweep(USERS_BASE, "users", range(2, 33)),
+            lambda: sweep(OPTIMAL_USERS, "users", range(2, 32)),
         ):
             tracemalloc.start()
             try:
@@ -477,7 +512,8 @@ class TestBlockLayout:
         users = (2, 9, 16)
 
         def run():
-            mai = np.concatenate(sim._map_blocks(cfg, lambda draw, g, mai: mai[:, 0]))
+            [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: mai[:, 0])
+            mai = np.concatenate(blocks)
             prefix = prefix_mai(cfg, users)
             return run_ber(cfg), sweep(cfg, "users", users), mai, prefix
 
