@@ -62,13 +62,20 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _codes(family) -> np.ndarray:
-    """A non-empty family of equal-length codes as one (F, N) complex array."""
-    codes = [_chips(s) for s in family]
-    if not codes:
+    """A non-empty family of equal-length codes as one (F, N) complex array.
+
+    An (F, N) array is taken as it is: no copy when it is already complex128.
+    """
+    if isinstance(family, np.ndarray) and family.ndim == 2:
+        codes = family.astype(np.complex128, copy=False)
+    else:
+        rows = [_chips(s) for s in family]
+        if any(c.size != rows[0].size for c in rows):
+            raise ValueError("all codes in the family must have equal length")
+        codes = np.vstack(rows) if rows else np.empty((0, 0), dtype=np.complex128)
+    if not len(codes):
         raise ValueError("family must contain at least one code")
-    if any(c.size != codes[0].size for c in codes):
-        raise ValueError("all codes in the family must have equal length")
-    return np.vstack(codes)
+    return codes
 
 
 def aperiodic_c(x, y, lag: int) -> complex:

@@ -28,6 +28,7 @@ __all__ = [
     "weyl_sequence",
     "fzc_family_sequence",
     "optimal_weyl_sequence",
+    "optimal_weyl_pool",
     "van_der_corput",
     "vdc_assignment",
     "GOLD_N_CHIPS",
@@ -73,6 +74,14 @@ class AssignmentPolicy(str, enum.Enum):
     SEQUENTIAL = "sequential"  # sigma_k = k - 1
 
 
+def _unit_modulus(chips: np.ndarray) -> np.ndarray:
+    """chips, after checking that every one is finite with unit modulus."""
+    # written so that a NaN chip fails the check too
+    if not np.all(np.abs(np.abs(chips) - 1.0) < UNIT_MODULUS_TOL):
+        raise ValueError("chips must be finite with unit modulus")
+    return chips
+
+
 @dataclass(frozen=True)
 class ChipSequence:
     """A length-N spreading code of unit-modulus complex chips."""
@@ -84,10 +93,7 @@ class ChipSequence:
         chips = np.asarray(self.chips, dtype=np.complex128)
         if chips.ndim != 1 or chips.size == 0:
             raise ValueError("chips must be a non-empty 1-D vector")
-        # written so that a NaN chip fails the check too
-        if not np.all(np.abs(np.abs(chips) - 1.0) < UNIT_MODULUS_TOL):
-            raise ValueError("chips must be finite with unit modulus")
-        object.__setattr__(self, "chips", chips)
+        object.__setattr__(self, "chips", _unit_modulus(chips))
 
     def __len__(self) -> int:
         return int(self.chips.size)
@@ -153,11 +159,22 @@ class OptimalWeylParams:
         _integer("n_chips", self.n_chips, 1)
 
 
+def _weyl_chips(rho, delta: float, n_chips: int) -> np.ndarray:
+    """Chips exp(2*pi*j*(n*rho + delta mod 1)) for n = 1..N, one row per entry of
+    an array rho (a float rho gives one code)."""
+    n = np.arange(1, n_chips + 1, dtype=np.float64)
+    return np.exp(2j * np.pi * np.mod(np.multiply.outer(rho, n) + delta, 1.0))
+
+
+def _slot_rho(gamma: float, sigma, k_max: int):
+    """Phase increment gamma + sigma/k_max mod 1 of slot sigma (an int or an int array)."""
+    # the second mod maps a tiny negative sum, which the first rounds up to 1.0, to 0.0
+    return (gamma + sigma / k_max) % 1.0 % 1.0
+
+
 def weyl_sequence(params: WeylParams) -> ChipSequence:
     """Generate chips exp(2*pi*j*(n*rho + delta mod 1)) for n = 1..N."""
-    n = np.arange(1, params.n_chips + 1, dtype=np.float64)
-    phases = np.mod(n * params.rho + params.delta, 1.0)
-    chips = np.exp(2j * np.pi * phases)
+    chips = _weyl_chips(params.rho, params.delta, params.n_chips)
     return ChipSequence(chips, family_tag=f"weyl(rho={params.rho:g},delta={params.delta:g})")
 
 
@@ -191,11 +208,21 @@ def fzc_family_sequence(params: FZCParams) -> ChipSequence:
 
 def optimal_weyl_sequence(params: OptimalWeylParams) -> ChipSequence:
     """Generate the slot-sigma_k member: Weyl code with rho = gamma + sigma_k/k_max mod 1."""
-    # the second mod maps a tiny negative sum, which the first rounds up to 1.0, to 0.0
-    rho = (params.gamma + params.sigma_k / params.k_max) % 1.0 % 1.0
-    seq = weyl_sequence(WeylParams(rho=rho, delta=0.0, n_chips=params.n_chips))
+    rho = _slot_rho(params.gamma, params.sigma_k, params.k_max)
     tag = f"optimal-weyl(gamma={params.gamma:g},sigma={params.sigma_k},kmax={params.k_max})"
-    return ChipSequence(seq.chips, family_tag=tag)
+    return ChipSequence(_weyl_chips(rho, 0.0, params.n_chips), family_tag=tag)
+
+
+def optimal_weyl_pool(gamma: float, k_max: int, n_chips: int) -> np.ndarray:
+    """All k_max slot members as one (k_max, N) complex array.
+
+    Row s equals ``optimal_weyl_sequence(OptimalWeylParams(gamma, s, k_max, n_chips)).chips``
+    bit for bit.
+    """
+    gamma = _finite("gamma", gamma)
+    k_max = _integer("k_max", k_max, 1)
+    rho = _slot_rho(gamma, np.arange(k_max), k_max)
+    return _unit_modulus(_weyl_chips(rho, 0.0, _integer("n_chips", n_chips, 1)))
 
 
 def van_der_corput(index: int) -> float:

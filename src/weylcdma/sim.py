@@ -38,11 +38,12 @@ time.  Inside a block, the gather and its contraction run over tiles of
 trials holding at most ``_TILE_PAIRS`` pair rows, so a worker never
 holds the block's whole (t, K, K, 4) gather.  A pool that reads one
 width sums all interferers in one contraction (per slot when every slot
-is occupied) and reduces the whole block at once; one that reads several
-takes prefix sums over interferers and reduces tile by tile, summing the
-block's tile results in its task, so its statistics agree with the
-one-width ones to float rounding, no (t, K, K) array outlives a tile,
-and each block leaves one result per pool.
+is occupied, into one (t, 1, F) array whose users read their own slots
+once per block) and reduces the whole block at once; one that reads
+several takes prefix sums over interferers and reduces tile by tile,
+summing the block's tile results in its task, so its statistics agree
+with the one-width ones to float rounding, no (t, K, K) array outlives a
+tile, and each block leaves one result per pool.
 """
 
 from __future__ import annotations
@@ -60,14 +61,14 @@ from weylcdma.correlation import _chips, _pair, aperiodic_c, aperiodic_table, th
 from weylcdma.sequences import (
     GOLD_FAMILY_SIZE,
     AssignmentPolicy,
-    OptimalWeylParams,
     FZCParams,
     _finite,
     _gold_length,
     _integer,
     fzc_family_sequence,
     gold_family,
-    optimal_weyl_sequence,
+    optimal_weyl_pool,
+    optimal_weyl_sequence,  # noqa: F401 -- unused here, but perfbench/spans.py rebinds it
     vdc_assignment,
 )
 from weylcdma.snr import LinkBudget
@@ -195,24 +196,19 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndarray]]]:
+def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], np.ndarray]]:
     """(pool size, slot count, code builder) of the configured family kind.
 
     The slot count is k_max if set, else N (weyl) or K (optimal), and 0 for
     the kinds without slots (fzc, gold), which reject k_max.  The builder
-    makes the codes only when called.
+    makes the codes, as one (F, N) array, only when called.
     """
     kind, n = config.family, config.n_chips
     if kind in ("weyl", "optimal"):
         slots = config.k_max
         if slots is None:
             slots = config.n_users if kind == "optimal" else n
-        return slots, slots, lambda: [
-            optimal_weyl_sequence(
-                OptimalWeylParams(gamma=config.gamma, sigma_k=s, k_max=slots, n_chips=n)
-            ).chips
-            for s in range(slots)
-        ]
+        return slots, slots, lambda: optimal_weyl_pool(config.gamma, slots, n)
     if kind not in ("fzc", "gold"):
         raise ValueError(f"unknown family kind {kind!r}")
     if config.k_max is not None:
@@ -220,12 +216,12 @@ def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndar
     if kind == "fzc":
         p, q, r = _FZC_TRIPLE
         indices = [m for m in range(1, n) if math.gcd(m, n) == 1]
-        return len(indices), 0, lambda: [
+        return len(indices), 0, lambda: np.vstack([
             fzc_family_sequence(FZCParams(m_k=float(m), p=p, q=q, r=r, n_chips=n)).chips
             for m in indices
-        ]
+        ])
     _gold_length(n)
-    return GOLD_FAMILY_SIZE, 0, lambda: [s.chips for s in gold_family()]
+    return GOLD_FAMILY_SIZE, 0, lambda: np.vstack([s.chips for s in gold_family()])
 
 
 def family_capacity(config: SimConfig) -> int:
@@ -233,7 +229,7 @@ def family_capacity(config: SimConfig) -> int:
     return _family_pool(config)[0]
 
 
-def _serving_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.ndarray]]]:
+def _serving_pool(config: SimConfig) -> tuple[int, int, Callable[[], np.ndarray]]:
     """``_family_pool`` of a config, after checking that the pool can serve its n_users."""
     pool = _family_pool(config)
     if config.n_users > pool[0]:
@@ -245,7 +241,7 @@ def _serving_pool(config: SimConfig) -> tuple[int, int, Callable[[], list[np.nda
 
 def build_pool(config: SimConfig) -> np.ndarray:
     """Materialize the family's candidate codes as an (F, N) complex array."""
-    return np.vstack(_serving_pool(config)[2]())
+    return _serving_pool(config)[2]()
 
 
 def _fixed_assignment(config: SimConfig, pool_size: int) -> np.ndarray | None:
@@ -355,15 +351,17 @@ def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -
     that they divide the block, gather at most ``_TILE_PAIRS`` rows each (all
     of a block for c <= 5).  One width, every slot occupied (size = c): per
     tile, a gather of one slot-major (4, F) row per interferer, contracted
-    with its weights by one batched matmul into the MAI at every slot, which
-    each user reads at its own.  One width, free slots: a receiver-major
-    (tile, i, k, 4) gather, summed over k and the 4 weights by one einsum.
-    Either reduces the whole block once.  Several widths: per tile, an
-    interferer-major (tile, k, i, 4) gather, reduced over the weights by
-    matmul into a (tile, k, i) array whose prefix sums over k hold widths[j]
-    in row widths[j] - 1, and one reduce on the tile's rows; the pool's
-    result is the sum (``+``, in tile order) of its tiles' results, so reduce
-    returns a count array, or a list to be concatenated.
+    with its weights (made contiguous once per pool and block) by one batched
+    matmul into the tile's rows of a (t, 1, F) array of the MAI at every
+    slot, from which one take_along_axis per block reads each user's own.
+    One width, free slots: a receiver-major (tile, i, k, 4) gather, summed
+    over k and the 4 weights by one einsum.  Either reduces the whole block
+    once.  Several widths: per tile, an interferer-major (tile, k, i, 4)
+    gather, reduced over the weights by matmul into a (tile, k, i) array
+    whose prefix sums over k hold widths[j] in row widths[j] - 1, and one
+    reduce on the tile's rows; the pool's result is the sum (``+``, in tile
+    order) of its tiles' results, so reduce returns a count array, or a list
+    to be concatenated.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
@@ -395,13 +393,13 @@ def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -
         tile = min(_BLOCK, 1 << max(0, int(_TILE_PAIRS // (c * c)).bit_length() - 1))
         tiles = [slice(s, s + tile) for s in range(0, t, tile)]
         if widths == (size,):
-            mai = np.empty((t, 1, c))
-            for b in tiles:
+            # contiguous weights: the matmul's rounding must not depend on the pass
+            wt, slot_mai = np.ascontiguousarray(wt).reshape(t, 1, 4 * c), np.empty((t, 1, size))
+            for b in tiles:  # each tile's gather dies before the next is made
                 rows = np.take(table, col[b], axis=0).reshape(-1, 4 * c, size)
-                # contiguous weights: the matmul's rounding must not depend on the pass
-                slot_mai = np.matmul(np.ascontiguousarray(wt[b]).reshape(-1, 1, 4 * c), rows)
-                mai[b, 0] = np.take_along_axis(slot_mai[:, 0], sigma[b], axis=1)
-            return reduce(draw, g, mai)
+                np.matmul(wt[b], rows, out=slot_mai[b])
+                del rows
+            return reduce(draw, g, np.take_along_axis(slot_mai, sigma[:, None, :], axis=2))
         row = sigma * (size * 2 * n)
         if widths == (c,):
             mai = np.empty((t, 1, c))

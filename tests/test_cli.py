@@ -3,10 +3,15 @@ config-file precedence, and preset behavior."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from weylcdma import __version__
 from weylcdma.cli import _write_sweep, main, run_preset
 from weylcdma.sequences import AssignmentPolicy
 from weylcdma.sim import SimConfig
@@ -22,6 +27,14 @@ def data_rows(text):
     lines = [l for l in text.strip().splitlines() if not l.startswith("#")]
     header, rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
     return header, rows
+
+
+def test_python_m_runs_the_command_line_from_a_checkout():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run([sys.executable, "-m", "weylcdma", "--version"], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stdout.strip()) == (0, f"weylcdma {__version__}")
 
 
 class TestGenerate:

@@ -19,6 +19,7 @@ from weylcdma.correlation import (
     theta_pairs,
     weyl_c_closed_form,
 )
+from weylcdma.correlation import _codes
 from weylcdma.sequences import (
     OptimalWeylParams,
     WeylParams,
@@ -304,6 +305,14 @@ class TestTableAndProfile:
         family = [np.ones(8, dtype=complex), np.ones(9, dtype=complex)]
         with pytest.raises(ValueError, match="all codes in the family must have equal length"):
             aperiodic_table(family)
+
+    def test_codes_take_a_stacked_family_as_it_is(self):
+        stacked = np.ones((3, 8), dtype=np.complex128)
+        assert np.shares_memory(_codes(stacked), stacked)
+        np.testing.assert_array_equal(_codes(np.ones((3, 8))), stacked)  # other dtypes convert
+        np.testing.assert_array_equal(_codes(list(stacked)), stacked)
+        with pytest.raises(ValueError, match="family must contain at least one code"):
+            _codes(np.empty((0, 8), dtype=np.complex128))
 
     def test_profile_invariants(self):
         rng = np.random.default_rng(12)

@@ -1,7 +1,8 @@
 """Property tests: a users-axis sweep equals a separate run_ber per user count,
 for any family, policy, trial count and list of user counts; the Weyl
 correlation identities (crosscorrelation bound, closed-form r_ik, theta/theta_hat
-wrap) hold for any length, slot pair and gamma; and the sampling falsifier's
+wrap) hold for any length, slot pair and gamma; a whole slot pool equals
+its codes built one slot at a time, bit for bit; and the sampling falsifier's
 pruning bound lies below the pair sum for any sorted phases."""
 
 import dataclasses
@@ -19,7 +20,11 @@ from weylcdma.correlation import (  # noqa: E402
     theta_pairs,
 )
 from weylcdma.phase_opt import _lower_bound, circle_distance  # noqa: E402
-from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence  # noqa: E402
+from weylcdma.sequences import (  # noqa: E402
+    OptimalWeylParams,
+    optimal_weyl_pool,
+    optimal_weyl_sequence,
+)
 from weylcdma.sim import SimConfig, family_capacity, run_ber, sweep  # noqa: E402
 from weylcdma.snr import r_ik_closed  # noqa: E402
 
@@ -70,6 +75,16 @@ def weyl_pairs(draw):
 
 def weyl_chips(n, sigma, gamma):
     return optimal_weyl_sequence(OptimalWeylParams(gamma, sigma, n, n)).chips
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(st.just(-1e-17), st.floats(-1e6, 1e6)), st.integers(1, 64), st.integers(2, 64))
+def test_slot_pool_rows_are_the_slot_codes_bit_for_bit(gamma, k_max, n):
+    pool = optimal_weyl_pool(gamma, k_max, n)
+    assert pool.dtype == np.complex128 and pool.shape == (k_max, n)
+    for s in range(k_max):
+        code = optimal_weyl_sequence(OptimalWeylParams(gamma, s, k_max, n)).chips
+        np.testing.assert_array_equal(pool[s].view(np.uint64), code.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -18,6 +18,7 @@ from weylcdma.sequences import (
     fzc_family_sequence,
     gold_code,
     gold_family,
+    optimal_weyl_pool,
     optimal_weyl_sequence,
     van_der_corput,
     vdc_assignment,
@@ -168,6 +169,34 @@ class TestOptimalWeyl:
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma must be finite"):
             OptimalWeylParams(gamma=gamma, sigma_k=0, k_max=4, n_chips=8)
+
+
+class TestOptimalWeylPool:
+    @pytest.mark.parametrize("n", [30, 31, 32])
+    def test_rows_are_the_slot_codes_bit_for_bit_on_preset_pools(self, n):
+        # the presets' slot pools: N = 30..32, k_max = K in 2..32 (fig4's 14 among them),
+        # gamma 0, 1/2N and 1/2K (fig2 and fig4: K = 7)
+        for k_max in range(2, 33):
+            for gamma in (0.0, 1 / (2 * n), 1 / (2 * k_max), 1 / 14):
+                pool = optimal_weyl_pool(gamma, k_max, n)
+                assert pool.dtype == np.complex128 and pool.shape == (k_max, n)
+                for s in range(k_max):
+                    code = optimal_weyl_sequence(OptimalWeylParams(gamma, s, k_max, n)).chips
+                    np.testing.assert_array_equal(pool[s].view(np.uint64), code.view(np.uint64))
+
+    def test_tiny_negative_gamma_wraps_to_zero(self):
+        np.testing.assert_array_equal(optimal_weyl_pool(-1e-17, 4, 8), optimal_weyl_pool(0.0, 4, 8))
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("gamma", dict(gamma=math.nan)),
+        ("gamma", dict(gamma="0.1")),
+        ("k_max", dict(k_max=0)),
+        ("k_max", dict(k_max=4.0)),
+        ("n_chips", dict(n_chips=0)),
+    ])
+    def test_rejects_what_the_params_reject(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            optimal_weyl_pool(**{**dict(gamma=0.0, k_max=4, n_chips=8), **kwargs})
 
 
 class TestVanDerCorput:

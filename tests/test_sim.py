@@ -678,6 +678,19 @@ def test_capacity_pool_and_kmax_column_agree(overrides, capacity, kmax):
     assert [row.kmax for row in sweep(cfg, "users", [cfg.n_users])] == [kmax]
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(k_max=9),
+    dict(family="optimal", n_users=5, n_chips=31),
+    dict(family="fzc"),
+    dict(family="gold", n_chips=31),
+], ids=["weyl-kmax9", "optimal", "fzc16", "gold"])
+def test_build_pool_is_one_complex_array(overrides):
+    cfg = dataclasses.replace(POOL_BASE, **overrides)
+    pool = build_pool(cfg)
+    assert type(pool) is np.ndarray and pool.dtype == np.complex128
+    assert pool.shape == (family_capacity(cfg), cfg.n_chips)
+
+
 class TestValidation:
     def test_config_field_errors(self):
         good = dict(n_users=2, n_chips=16, ebn0_db=10.0, trials=10, seed=0,

@@ -260,8 +260,16 @@ class TestPursleySnr:
             pursley_snr(0, family, budget)
 
     def test_rejects_empty_family(self):
-        with pytest.raises(ValueError, match="family must contain at least one code"):
-            pursley_snr(0, [], LinkBudget.from_db(10.0, 8, 2))
+        for empty in ([], np.empty((0, 8), dtype=complex)):
+            with pytest.raises(ValueError, match="family must contain at least one code"):
+                pursley_snr(0, empty, LinkBudget.from_db(10.0, 8, 2))
+
+    def test_stacked_family_gives_the_same_floats(self):
+        budget = LinkBudget.from_db(18.0, 16, 5)
+        family = slot_family(0.03, 16, slots=[0, 3, 7, 9, 14])
+        stacked = np.vstack([s.chips for s in family])
+        for i in range(5):
+            assert pursley_snr(i, stacked, budget) == pursley_snr(i, family, budget)
 
     def test_partial_occupancy_agreement_reported_not_asserted(self):
         # The slot expectation is exact only when every slot is in use;
