@@ -182,13 +182,13 @@ def _write_sweep(config: SimConfig, axis: str, values, out: str | None, **extra)
 
 
 def _cmd_ber_sweep(args) -> int:
-    try:
-        values = [float(v) for v in (args.values or "").split(",") if v]
+    if not args.values:
+        raise SystemExit("ber-sweep: --values (flag or config file) must list an axis value")
+    try:  # an empty field, as in "2,,4" or "2,4,", is not a number either
+        values = [float(v) for v in args.values.split(",")]
     except ValueError:
         raise ValueError(
             f"ber-sweep: --values must be comma-separated numbers, got {args.values!r}") from None
-    if not values:
-        raise SystemExit("ber-sweep: --values (flag or config file) must list an axis value")
     config = SimConfig(**{field: getattr(args, flag) for field, flag in _SWEEP_FLAGS.items()})
     _write_sweep(config, args.axis, values, args.out)
     return 0

@@ -40,10 +40,14 @@ holds the block's whole (t, K, K, 4) gather.  A pool that reads one
 width sums all interferers in one contraction (per slot when every slot
 is occupied, into one (t, 1, F) array whose users read their own slots
 once per block) and reduces the whole block at once; one that reads
-several takes prefix sums over interferers and reduces tile by tile,
-summing the block's tile results in its task, so its statistics agree
-with the one-width ones to float rounding, no (t, K, K) array outlives a
-tile, and each block leaves one result per pool.
+several takes prefix sums over interferers and reduces tile by tile, so
+its statistics agree with the one-width ones to float rounding and no
+(t, K, K) array outlives a tile.
+
+One rule combines results: a pool's reduce results are added with ``+``,
+in order, tile by tile inside the block's task and then block by block
+as the blocks come back, so reduce returns a count array to be summed or
+a list to be concatenated, and a pass keeps one result per pool.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weylcdma.correlation import _chips, _pair, aperiodic_c, aperiodic_table, theta_pairs
+from weylcdma.correlation import aperiodic_table, theta_pairs
 from weylcdma.sequences import (
     GOLD_FAMILY_SIZE,
     AssignmentPolicy,
@@ -83,9 +87,6 @@ __all__ = [
     "wilson_interval",
     "build_pool",
     "family_capacity",
-    "interference",
-    "decision_statistic",
-    "simulate_trials",
     "collect_decision_noise",
     "run_ber",
     "sweep",
@@ -143,11 +144,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrialDraw:
-    """Channel randomness, one column per user.
-
-    The engine fills (T, K) arrays, one row per trial; the scalar path
-    (``interference``, ``decision_statistic``) takes one trial's (K,) row.
-    """
+    """Channel randomness, one column per user and, in the engine, one row per trial."""
 
     tau: np.ndarray        # delays in [0, N*Tc)
     phi: np.ndarray        # carrier phases in [0, 2*pi)
@@ -258,58 +255,6 @@ def _fixed_assignment(config: SimConfig, pool_size: int) -> np.ndarray | None:
     return np.asarray(rng.permutation(pool_size)[:k], dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# Scalar reference path (oracle-grade, used by tests and small studies)
-# ---------------------------------------------------------------------------
-
-
-def interference(i: int, k: int, draw: TrialDraw, seqs) -> complex:
-    """Two-lag interference of user k on receiver i for one trial.
-
-    exp(j phi_k) * [(tau_k - l Tc)(b_prev C(l) + b_cur C(l-N))
-                    + ((l+1) Tc - tau_k)(b_prev C(l+1) + b_cur C(l+1-N))]
-    with l = floor(tau_k / Tc).
-    """
-    i = _integer("i", i, 0, len(seqs) - 1)
-    k = _integer("k", k, 0, len(seqs) - 1)
-    if i == k:
-        raise ValueError("interference is defined for k != i")
-    x, y = _pair(seqs[i], seqs[k])
-    n = x.size
-    tau_k = float(draw.tau[k])
-    if not 0.0 <= tau_k < n * TC:
-        raise ValueError(f"tau must lie in [0, {n * TC}), got {tau_k}")
-    l = int(tau_k // TC)
-    b_prev = float(draw.bits_prev[k])
-    b_cur = float(draw.bits_cur[k])
-    low = b_prev * aperiodic_c(x, y, l) + b_cur * aperiodic_c(x, y, l - n)
-    high = b_prev * aperiodic_c(x, y, l + 1) + b_cur * aperiodic_c(x, y, l + 1 - n)
-    weight_low = tau_k - l * TC
-    weight_high = (l + 1) * TC - tau_k
-    return complex(np.exp(1j * float(draw.phi[k])) * (weight_low * low + weight_high * high))
-
-
-def decision_statistic(
-    i: int, draw: TrialDraw, seqs, budget: LinkBudget, noise_sample: float
-) -> float:
-    """Decision statistic of receiver i; noise_sample is a standard normal.
-
-    User i is the coherent reference (tau_i = 0, phi_i = 0 by convention);
-    its own draw entries are ignored.
-    """
-    i = _integer("i", i, 0, len(seqs) - 1)
-    n = _chips(seqs[i]).size
-    mai = sum(
-        interference(i, k, draw, seqs).real for k in range(len(seqs)) if k != i
-    )
-    return float(draw.bits_cur[i]) + mai / (n * TC) + noise_sample * math.sqrt(budget.noise_term)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized engine
-# ---------------------------------------------------------------------------
-
-
 def _noise_std(config: SimConfig) -> float:
     return math.sqrt(LinkBudget.from_db(config.ebn0_db, config.n_chips, config.n_users).noise_term)
 
@@ -339,7 +284,7 @@ def _pair_table(config: SimConfig, per_slot: bool) -> np.ndarray:
 
 
 def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -> list:
-    """[reduce(draw, noise, mai) of each pool] on one trial block: the pool's
+    """Each pool's reduce(draw, noise, mai) on one trial block: the pool's
     draws, unit-variance noise and MAI / (N*Tc).
 
     The block draws once, at config.n_users and at the largest pool size; a
@@ -359,9 +304,7 @@ def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -
     once.  Several widths: per tile, an interferer-major (tile, k, i, 4)
     gather, reduced over the weights by matmul into a (tile, k, i) array
     whose prefix sums over k hold widths[j] in row widths[j] - 1, and one
-    reduce on the tile's rows; the pool's result is the sum (``+``, in tile
-    order) of its tiles' results, so reduce returns a count array, or a list
-    to be concatenated.
+    reduce on the tile's rows, whose results the ``+`` rule adds up.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
@@ -447,19 +390,19 @@ def _thread_count() -> int:
 
 
 def _map_blocks(config: SimConfig, reduce, pools: list[tuple[int, ...]] | None = None) -> list:
-    """Each slot pool's ``_simulate_block`` results, one per trial block, in block order.
+    """Each slot pool's ``_simulate_block`` results, added up (``+``) in block order.
 
     config is the pass's draw stream at its largest user count.  pools holds
     the sorted user counts (widths) that each slot pool of the pass reads, by
     default one pool at config.n_users; the pool of widths serves config
     with n_users = widths[-1].  reduce(draw, noise, mai) gets a pool's first
     widths[-1] columns and mai as a (t, W, widths[-1]) array over its widths.
-    reduce runs inside the block's own task, and a block's tiles are summed
-    there, so only one result per pool and block outlives the block's
-    arrays.  A pass of one pool builds its table once; a pass of several
-    builds each pool's table inside each block, one at a time, so a worker
-    holds one block and at most one table, whatever the trial count and the
-    number of pools.
+    reduce runs inside the block's own task, and each block's results are
+    added to the pass's as they come back, so no block's arrays outlive its
+    task and the pass holds one result per pool.  A pass of one pool builds
+    its table once; a pass of several builds each pool's table inside each
+    block, one at a time, so a worker holds one block and at most one table,
+    whatever the trial count and the number of pools.
     """
     threads = _thread_count()
     pools = pools or [(config.n_users,)]
@@ -475,29 +418,16 @@ def _map_blocks(config: SimConfig, reduce, pools: list[tuple[int, ...]] | None =
     def run(block: int):
         return _simulate_block(config, specs, reduce, block)
 
+    def add_up(results) -> list:
+        totals = None
+        for parts in results:
+            totals = parts if totals is None else [a + b for a, b in zip(totals, parts)]
+        return totals
+
     if workers == 1:
-        results = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(run, blocks))
-    return [list(parts) for parts in zip(*results)]
-
-
-def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:
-    """Run the engine and keep every draw and decision (memory: O(T*K)).
-
-    Returns (draw, noise, z): the (T, K) draws, the standard-normal noise
-    samples before scaling, and the decision statistics.  Intended for
-    diagnostics and tests; use ``run_ber`` for large counts.
-    """
-    std = _noise_std(config)
-    draws, noise, z = zip(*_map_blocks(
-        config, lambda draw, g, mai: (draw, g, draw.bits_cur + mai[:, 0] + std * g))[0])
-    draw = TrialDraw(**{
-        f.name: np.concatenate([getattr(d, f.name) for d in draws])
-        for f in dataclasses.fields(TrialDraw)
-    })
-    return draw, np.concatenate(noise), np.concatenate(z)
+        return add_up(map(run, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        return add_up(executor.map(run, blocks))
 
 
 def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +438,7 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     std = _noise_std(config)
     sigma, z_err = zip(*_map_blocks(
-        config, lambda d, g, mai: (d.sigma, (d.bits_cur + mai[:, 0] + std * g) - d.bits_cur))[0])
+        config, lambda d, g, mai: [(d.sigma, (d.bits_cur + mai[:, 0] + std * g) - d.bits_cur)])[0])
     return np.concatenate(sigma), np.concatenate(z_err)
 
 
@@ -545,8 +475,7 @@ def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
             return np.stack(per_level)
 
         widest = dataclasses.replace(configs[groups[0][0]], n_users=max(w[-1] for w in pools))
-        for group, widths, parts in zip(groups, pools, _map_blocks(widest, count, pools)):
-            counts = sum(parts)
+        for group, widths, counts in zip(groups, pools, _map_blocks(widest, count, pools)):
             for i in group:
                 errors[i] = counts[levels.index(stds[i]), widths.index(ks[i]), :ks[i]]
     results = []

@@ -267,6 +267,12 @@ class TestBerSweep:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "--values" in err and "'2,abc'" in err
 
+    @pytest.mark.parametrize("values", ["2,,4", "2,4,", ",2"])
+    def test_empty_value_field_rejected(self, capsys, values):
+        code, out, err = run_cli(capsys, ["ber-sweep", "--values", values])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--values" in err and repr(values) in err
+
     def test_fractional_users_rejected(self, capsys):
         args = list(self.ARGS)
         args[args.index("2,3")] = "2.5,3.9"

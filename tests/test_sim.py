@@ -1,4 +1,4 @@
-"""Simulator tests: the scalar interference/decision ops against the
+"""Simulator tests: the scalar interference/decision oracle against the
 vectorized engine, determinism, interference bounds, variance bridges,
 and sweep behavior."""
 
@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weylcdma import sim
+from weylcdma import correlation, sim
 from weylcdma.correlation import cross_bound, periodic_theta
 from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence
 from weylcdma.sim import (
@@ -19,15 +19,14 @@ from weylcdma.sim import (
     TrialDraw,
     build_pool,
     collect_decision_noise,
-    decision_statistic,
     family_capacity,
-    interference,
     run_ber,
-    simulate_trials,
     sweep,
     wilson_interval,
 )
 from weylcdma.snr import LinkBudget, expected_weyl_snr
+
+from oracle import decision_statistic, interference, simulate_trials
 
 
 def make_draw(tau, phi, bits_prev, bits_cur, sigma):
@@ -168,6 +167,24 @@ class TestInterference:
         draw = make_draw([0.0, 8.0 * TC], [0.0, 0.0], [1, 1], [1, 1], [0, 3])
         with pytest.raises(ValueError):
             interference(0, 1, draw, seqs)
+
+    def test_oracle_does_not_use_the_engine_tables(self, monkeypatch):
+        # the oracle reads aperiodic_c lag by lag, so a fault in the engine's tables
+        # cannot reach the values it checks them against
+        seqs = slot_family(1 / 32, 16, [1, 6, 12])
+        draw = make_draw([0.0, 3.7, 11.2], [0.0, 0.4, 2.9], [1, -1, 1], [1, 1, -1], [1, 6, 12])
+        budget = LinkBudget.from_db(10.0, 16, 3)
+        expected = [decision_statistic(i, draw, seqs, budget, 0.3) for i in range(3)]
+
+        def engine_table(*args):
+            raise AssertionError("engine table called")
+
+        for module, name in ((correlation, "aperiodic_table"), (correlation, "theta_pairs"),
+                             (sim, "aperiodic_table"), (sim, "theta_pairs"), (sim, "_pair_table")):
+            monkeypatch.setattr(module, name, engine_table)
+        assert [decision_statistic(i, draw, seqs, budget, 0.3) for i in range(3)] == expected
+        with pytest.raises(AssertionError, match="engine table"):  # the engine does use them
+            run_ber(SimConfig(n_users=3, n_chips=16, ebn0_db=10.0, trials=10, seed=0))
 
 
 class TestDecisionStatistic:
@@ -371,9 +388,9 @@ OPTIMAL_USERS = SimConfig(n_users=2, n_chips=31, ebn0_db=25.0, trials=1024, seed
 
 def prefix_mai(cfg, widths):
     """The (trials, W, K) MAI of a pass over several widths; it reduces tile by tile,
-    and a list result concatenates a block's tiles."""
-    [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: [mai], [widths])
-    return np.concatenate([mai for tiles in blocks for mai in tiles])
+    and a list result concatenates the tiles."""
+    [tiles] = sim._map_blocks(cfg, lambda draw, g, mai: [mai], [widths])
+    return np.concatenate(tiles)
 
 
 class TestBlockLayout:
@@ -423,7 +440,7 @@ class TestBlockLayout:
         # a pass reading only K sums all interferers at once; one reading several K
         # takes prefix sums over interferers: the same MAI up to float rounding
         k = cfg.n_users
-        [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: mai)
+        [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: [mai])
         one = np.concatenate(blocks)
         prefix = prefix_mai(cfg, (1, 2, k))
         assert one.shape == (cfg.trials, 1, k) and prefix.shape == (cfg.trials, 3, k)
@@ -457,6 +474,21 @@ class TestBlockLayout:
               [0.0, 10.0, 25.0])
         assert sorted(blocks) == list(range(20))
         assert tables == [7]
+
+    def test_pass_adds_block_results_as_they_arrive(self, monkeypatch):
+        # 64 blocks of 1 MiB results each: the pass holds their running sum, not all 64
+        monkeypatch.setenv("WEYLCDMA_THREADS", "1")
+        monkeypatch.setattr(sim, "_simulate_block", lambda *args: [np.ones(2**17)])
+        cfg = dataclasses.replace(PREFIX_BASE, trials=64 * sim._BLOCK)
+        tracemalloc.start()
+        try:
+            totals = sim._map_blocks(cfg, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        [total] = totals
+        np.testing.assert_array_equal(total, np.full(2**17, 64.0))
 
     def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
         monkeypatch.setenv("WEYLCDMA_THREADS", "1")
@@ -512,7 +544,7 @@ class TestBlockLayout:
         users = (2, 9, 16)
 
         def run():
-            [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: mai[:, 0])
+            [blocks] = sim._map_blocks(cfg, lambda draw, g, mai: [mai[:, 0]])
             mai = np.concatenate(blocks)
             prefix = prefix_mai(cfg, users)
             return run_ber(cfg), sweep(cfg, "users", users), mai, prefix
