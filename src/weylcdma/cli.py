@@ -183,7 +183,7 @@ def _write_sweep(config: SimConfig, axis: str, values, out: str | None, **extra)
 
 def _cmd_ber_sweep(args) -> int:
     if not args.values:
-        raise SystemExit("ber-sweep: --values (flag or config file) must list an axis value")
+        raise ValueError("ber-sweep: --values (flag or config file) must list an axis value")
     try:  # an empty field, as in "2,,4" or "2,4,", is not a number either
         values = [float(v) for v in args.values.split(",")]
     except ValueError:

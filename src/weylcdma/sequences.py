@@ -168,8 +168,9 @@ def _weyl_chips(rho, delta: float, n_chips: int) -> np.ndarray:
 
 def _slot_rho(gamma: float, sigma, k_max: int):
     """Phase increment gamma + sigma/k_max mod 1 of slot sigma (an int or an int array)."""
-    # the second mod maps a tiny negative sum, which the first rounds up to 1.0, to 0.0
-    return (gamma + sigma / k_max) % 1.0 % 1.0
+    # gamma reduced first: a large gamma keeps its fraction (a tiny negative one becomes 1.0,
+    # which the outer mod maps to 0.0)
+    return (gamma % 1.0 + sigma / k_max) % 1.0
 
 
 def weyl_sequence(params: WeylParams) -> ChipSequence:

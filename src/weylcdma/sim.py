@@ -25,24 +25,25 @@ columns of any wider draw, and a pool of P slots the first P rows of
 wider slot keys.  Each block runs reduce(draw, noise, mai) in its own
 task; results are bit-identical whatever WEYLCDMA_THREADS (a positive
 integer, by default the usable cores; the pool is capped at the block
-count and the CPU count).  A pass is one draw stream (every config field
-but n_users and ebn0_db): each block draws once, at the pass's largest
-K, and each slot pool of the pass reads a sorted set of user counts
-(widths) in its first columns.  mai is a (t, W, c) array whose row j
-holds, in its first widths[j] columns, the MAI on those users from those
-users, so they see Z - g = b + mai[:, j, :widths[j]], which does not
-depend on E/N0: a sweep along either axis is one pass, whose points
-share trials.  Only "optimal" without k_max has several pools, one per
-K; such a pass builds each pool's table inside each block, one at a
-time.  Inside a block, the gather and its contraction run over tiles of
-trials holding at most ``_TILE_PAIRS`` pair rows, so a worker never
-holds the block's whole (t, K, K, 4) gather.  A pool that reads one
-width sums all interferers in one contraction (per slot when every slot
-is occupied, into one (t, 1, F) array whose users read their own slots
-once per block) and reduces the whole block at once; one that reads
-several takes prefix sums over interferers and reduces tile by tile, so
-its statistics agree with the one-width ones to float rounding and no
-(t, K, K) array outlives a tile.
+count and the CPU count).  A pass is the configs of one ``run_ber`` or
+``sweep`` call, which differ only in n_users and ebn0_db: each block
+draws once, at the pass's largest K, and each slot pool of the pass
+reads a sorted set of user counts (widths) in its first columns.  mai
+is a (t, W, c) array whose row j holds, in its first widths[j] columns,
+the MAI on those users from those users, so they see Z - g = b +
+mai[:, j, :widths[j]], which does not depend on E/N0: a sweep along
+either axis is one pass, whose points share trials.  Only "optimal"
+without k_max has several pools, one per K; such a pass builds each
+pool's table inside each block, one at a time.  Inside a block, the
+gather and its contraction run over tiles of trials holding at most
+``_TILE_PAIRS`` pair rows, so a worker never holds the block's whole
+(t, K, K, 4) gather.  A pool that reads one width sums all interferers
+in one contraction (per slot when every slot is occupied, into one
+(t, 1, F) array whose users read their own slots once per block) and
+reduces the whole block at once; one that reads several takes prefix
+sums over interferers and reduces tile by tile, so its statistics agree
+with the one-width ones to float rounding and no (t, K, K) array
+outlives a tile.
 
 One rule combines results: a pool's reduce results are added with ``+``,
 in order, tile by tile inside the block's task and then block by block
@@ -243,13 +244,12 @@ def build_pool(config: SimConfig) -> np.ndarray:
 
 def _fixed_assignment(config: SimConfig, pool_size: int) -> np.ndarray | None:
     """Per-run slot assignment, or None under the random policy (fresh slots each trial)."""
-    policy = AssignmentPolicy(config.policy)
     k = config.n_users
-    if policy is AssignmentPolicy.RANDOM:
+    if config.policy == AssignmentPolicy.RANDOM:
         return None
-    if policy is AssignmentPolicy.SEQUENTIAL:
+    if config.policy == AssignmentPolicy.SEQUENTIAL:
         return np.arange(k, dtype=np.int64)
-    if policy is AssignmentPolicy.VAN_DER_CORPUT:
+    if config.policy == AssignmentPolicy.VAN_DER_CORPUT:
         return vdc_assignment(k, config.n_chips)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     return np.asarray(rng.permutation(pool_size)[:k], dtype=np.int64)
@@ -287,9 +287,10 @@ def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -
     """Each pool's reduce(draw, noise, mai) on one trial block: the pool's
     draws, unit-variance noise and MAI / (N*Tc).
 
-    The block draws once, at config.n_users and at the largest pool size; a
-    pool (config, size, fixed sigma or None, widths, table or None) reads the
-    first c = widths[-1] columns.  mai is a (t, W, c) array whose row j is the
+    The block draws once, at config.n_users, and slot keys at the largest
+    pool size if the pass's one policy is random; a pool (config, size,
+    fixed sigma or None, widths, table or None) reads the first c = widths[-1]
+    columns.  mai is a (t, W, c) array whose row j is the
     MAI at the sorted user count widths[j] (its first widths[j] columns).  A
     pool with no table builds its own (``_pair_table``) here and drops it on
     return, before the next pool's.  Tiles of a power-of-two trial count, so
@@ -310,9 +311,8 @@ def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -
     t = min(_BLOCK, config.trials - block * _BLOCK)
     keys, tau, phi, prev, cur, noise = map(
         np.random.default_rng, np.random.SeedSequence(config.seed, spawn_key=(1, block)).spawn(6))
-    random_sizes = [size for _, size, fixed, _, _ in pools if fixed is None]
-    if random_sizes:  # a smaller pool reads the first rows
-        keys = keys.random((max(random_sizes), t))
+    if config.policy == AssignmentPolicy.RANDOM:  # a smaller pool reads the first rows
+        keys = keys.random((max(size for _, size, _, _, _ in pools), t))
     tau = tau.random((k, t)).T * (n * TC)
     phi = phi.random((k, t)).T * (2.0 * np.pi)
     bits_prev = prev.integers(0, 2, size=(k, t)).T * 2.0 - 1.0
@@ -392,11 +392,12 @@ def _thread_count() -> int:
 def _map_blocks(config: SimConfig, reduce, pools: list[tuple[int, ...]] | None = None) -> list:
     """Each slot pool's ``_simulate_block`` results, added up (``+``) in block order.
 
-    config is the pass's draw stream at its largest user count.  pools holds
-    the sorted user counts (widths) that each slot pool of the pass reads, by
-    default one pool at config.n_users; the pool of widths serves config
-    with n_users = widths[-1].  reduce(draw, noise, mai) gets a pool's first
-    widths[-1] columns and mai as a (t, W, widths[-1]) array over its widths.
+    config is the pass's widest: a pass is the configs of one ``run_ber``
+    or ``sweep`` call, which differ only in n_users and ebn0_db.  pools
+    holds the sorted user counts (widths) that each slot pool of the pass
+    reads, by default one pool at config.n_users; the pool of widths serves
+    config with n_users = widths[-1].  reduce(draw, noise, mai) gets a
+    pool's first widths[-1] columns and mai as a (t, W, widths[-1]) array.
     reduce runs inside the block's own task, and each block's results are
     added to the pass's as they come back, so no block's arrays outlive its
     task and the pass holds one result per pool.  A pass of one pool builds
@@ -443,41 +444,39 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
-    """``run_ber`` of each config, in one engine pass per draw stream.
+    """``run_ber`` of each config, in one engine pass.
 
-    A draw stream is every config field but n_users and ebn0_db.  Every
+    The configs of one call differ only in n_users and ebn0_db.  Every
     config's user count is checked against its pool before any block runs.
-    A pass draws once, at its largest K, and counts errors once per distinct
-    noise level and slot pool, at the pool's user counts; each config reads
-    its own level, pool and width, in its first K columns.
+    The pass draws once, at its largest K, and counts errors once per
+    distinct noise level and slot pool, at the pool's user counts; each
+    config reads its own level, pool and width, in its first K columns.
     """
+    if not configs:
+        return []
     ks, stds = [cfg.n_users for cfg in configs], [_noise_std(cfg) for cfg in configs]
-    stream = [f.name for f in dataclasses.fields(SimConfig) if f.name not in ("n_users", "ebn0_db")]
-    passes: dict[tuple, dict[int, list[int]]] = {}
+    by_pool: dict[int, list[int]] = {}
     for i, cfg in enumerate(configs):
-        by_pool = passes.setdefault(tuple(getattr(cfg, name) for name in stream), {})
         by_pool.setdefault(_serving_pool(cfg)[0], []).append(i)
+    groups, levels = list(by_pool.values()), list(dict.fromkeys(stds))
+    pools = [tuple(sorted({ks[i] for i in group})) for group in groups]
+
+    def count(draw, g, mai):
+        # errors (Z * b < 0) per (noise level, width, user), Z = b + mai + sd * g
+        b, g = draw.bits_cur[:, None, :], g[:, None, :]
+        per_level = []
+        for sd in levels:
+            z = b + mai
+            z += sd * g
+            z *= b
+            per_level.append(np.count_nonzero(z < 0.0, axis=0))
+        return np.stack(per_level)
+
     errors = {}
-    for by_pool in passes.values():
-        groups = list(by_pool.values())
-        levels = list(dict.fromkeys(stds[i] for group in groups for i in group))
-        pools = [tuple(sorted({ks[i] for i in group})) for group in groups]
-
-        def count(draw, g, mai, levels=levels):
-            # errors (Z * b < 0) per (noise level, width, user), Z = b + mai + sd * g
-            b, g = draw.bits_cur[:, None, :], g[:, None, :]
-            per_level = []
-            for sd in levels:
-                z = b + mai
-                z += sd * g
-                z *= b
-                per_level.append(np.count_nonzero(z < 0.0, axis=0))
-            return np.stack(per_level)
-
-        widest = dataclasses.replace(configs[groups[0][0]], n_users=max(w[-1] for w in pools))
-        for group, widths, counts in zip(groups, pools, _map_blocks(widest, count, pools)):
-            for i in group:
-                errors[i] = counts[levels.index(stds[i]), widths.index(ks[i]), :ks[i]]
+    widest = dataclasses.replace(configs[0], n_users=max(ks))
+    for group, widths, counts in zip(groups, pools, _map_blocks(widest, count, pools)):
+        for i in group:
+            errors[i] = counts[levels.index(stds[i]), widths.index(ks[i]), :ks[i]]
     results = []
     for i, cfg in enumerate(configs):
         bits, total = cfg.trials * ks[i], int(errors[i].sum())
@@ -499,8 +498,8 @@ def run_ber(config: SimConfig) -> BERResult:
 def sweep(template: SimConfig, axis: str, values) -> list[SweepRow]:
     """Run the template at each axis value ("users" or "ebn0"), checking every value first.
 
-    One engine pass: the values share one draw stream, whose slot pools each
-    read their own user counts (one pool per K for "optimal" without k_max).
+    One engine pass: the values share trials, and each slot pool of the pass
+    reads its own user counts (one pool per K for "optimal" without k_max).
     """
     if axis not in ("users", "ebn0"):
         raise ValueError('axis must be "users" or "ebn0"')

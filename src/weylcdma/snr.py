@@ -97,15 +97,12 @@ def expected_weyl_snr(
     exact when all N slots are occupied (K = N) and a good approximation
     for K/N near 1.
     """
-    _finite("gamma", gamma)
+    gamma = _finite("gamma", gamma) % 1.0  # reduced first: a large gamma keeps its fraction
     n = _integer("n_chips", n_chips, 1)
     si = _integer("sigma_i", sigma_i, 0, n - 1)
     k = _integer("n_users", n_users, 1, n)
-    if k == 1:
-        r_i = 0.0
-    else:
-        cos_term = math.cos(2.0 * math.pi * (gamma + si / n))
-        r_i = (k - 1) / (18.0 * n**2) * (2.0 * (n + 1) + (n - 2) * cos_term)
+    cos_term = math.cos(2.0 * math.pi * (gamma + si / n))
+    r_i = (k - 1) / (18.0 * n**2) * (2.0 * (n + 1) + (n - 2) * cos_term)  # +0.0 at K = 1
     return (r_i + budget.noise_term) ** -0.5
 
 
@@ -137,7 +134,7 @@ def r_ik_closed(sigma_i: int, sigma_k: int, gamma: float, n_chips: int) -> float
     as 2 sin^2(pi d) with d the wrap-around slot distance.  Coincident
     slots are rejected (the model assumes distinct slots).
     """
-    _finite("gamma", gamma)
+    gamma = _finite("gamma", gamma) % 1.0  # reduced first: a large gamma keeps its fraction
     n = _integer("n_chips", n_chips, 2)
     si = _integer("sigma_i", sigma_i, -math.inf) % n
     sk = _integer("sigma_k", sigma_k, -math.inf) % n
@@ -162,7 +159,7 @@ def expected_r_sum_terms(
     (coupling term, cosine term): the first equals 2N(N+1)(K-1)/3 and the
     second N(N-2)(K-1)/3 * cos(2 pi (gamma + sigma_i/N)).
     """
-    _finite("gamma", gamma)
+    gamma = _finite("gamma", gamma) % 1.0  # reduced first: a large gamma keeps its fraction
     n = _integer("n_chips", n_chips, 2)
     k = _integer("n_users", n_users, 2, n)
     si = _integer("sigma_i", sigma_i, -math.inf) % n

@@ -74,6 +74,11 @@ class TestGenerate:
         _, rows = data_rows(out)
         assert len(rows) == 3
 
+    def test_fzc_numeric_r(self, capsys):
+        code, out, _ = run_cli(capsys, ["generate", "--family", "fzc", "--r", "2", "--n", "8"])
+        assert code == 0
+        assert "# tag=fzc(m=1,p=2,q=1,r=2)\n" in out and len(data_rows(out)[1]) == 8
+
     def test_invalid_parameters_exit_nonzero(self, capsys):
         code, _, err = run_cli(
             capsys, ["generate", "--family", "weyl", "--rho", "1.5", "--n", "4"]
@@ -180,6 +185,17 @@ class TestSnr:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and "gamma" in err
 
+    def test_huge_gamma_reads_its_fraction(self, capsys):
+        # 1e308 is a whole number, so its slot phases are gamma = 0's
+        tables = []
+        for gamma in ("1e308", "0"):
+            code, out, err = run_cli(
+                capsys, ["snr", "--n", "31", "--k", "5", "--gamma", gamma, "--ebn0-db", "10"]
+            )
+            assert code == 0 and err == ""
+            tables.append([(r[0], r[2], r[3]) for r in data_rows(out)[1]])
+        assert tables[0] == tables[1]
+
     def test_more_users_than_chips_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["snr", "--n", "31", "--k", "40", "--ebn0-db", "10"])
         assert code == 1 and out == ""
@@ -244,10 +260,11 @@ class TestBerSweep:
 
     def test_config_values_checked_like_flags(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(dict(values=[2, 3])))
-        code, out, err = run_cli(capsys, ["ber-sweep", "--config", str(path)])
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "'values'" in err
+        for data, name in ((dict(values=[2, 3]), "'values'"), ([2, 3], "JSON object")):
+            path.write_text(json.dumps(data))
+            code, out, err = run_cli(capsys, ["ber-sweep", "--config", str(path)])
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("weylcdma: ") and name in err
         # argparse checks file values as it checks flags: usage, then one error line
         for cfg, flag in ((dict(values="2", n=31.5), "--n"),
                           (dict(values="2", policy="perTrial"), "--policy")):
@@ -259,8 +276,10 @@ class TestBerSweep:
             assert "Traceback" not in err and flag in err.splitlines()[-1]
 
     def test_missing_values_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["ber-sweep", "--axis", "users"])
+        for argv in (["ber-sweep", "--axis", "users"], ["ber-sweep", "--values", ""]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("weylcdma: ber-sweep: --values")
 
     def test_non_numeric_value_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, ["ber-sweep", "--values", "2,abc"])
@@ -381,6 +400,15 @@ class TestPreset:
         code = main(["preset", "fig3", "--out-dir", "/proc/definitely/not/writable",
                      "--trials", "10"])
         assert code != 0
+
+    def test_command_prints_the_paths_it_writes(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, ["preset", "fig4", "--out-dir", str(tmp_path),
+                                          "--trials", "10"])
+        assert code == 0 and err == ""
+        assert out.splitlines() == [str(tmp_path / f"fig4_{curve}.csv") for curve in (
+            "weyl_kmax30_gamma_1_over_2n", "weyl_kmax30_gamma_1_over_2k",
+            "weyl_kmax14_gamma_1_over_2n", "weyl_kmax14_gamma_1_over_2k", "optimal")]
+        assert all(Path(line).is_file() for line in out.splitlines())
 
     def test_fig3_writes_two_curves(self, tmp_path):
         written = run_preset("fig3", str(tmp_path), trials=30, seed=5)

@@ -287,6 +287,10 @@ class TestInterferenceMoment:
         with pytest.raises(ValueError):
             r_ik(np.ones(4, dtype=complex), np.ones(6, dtype=complex))
 
+    def test_rejects_a_stacked_family_as_one_code(self):
+        with pytest.raises(ValueError, match="expected a 1-D chip vector"):
+            r_ik(np.ones((2, 4)), np.ones(4))
+
 
 class TestTableAndProfile:
     def test_table_matches_pointwise_calls(self):

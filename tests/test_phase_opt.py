@@ -231,6 +231,11 @@ class TestGlobalSolution:
     def test_rejects_nonfinite_phases_and_gamma(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             PhaseAssignment([math.nan, 0.5])
+        for rhos in ([], [[0.1, 0.2]]):
+            with pytest.raises(ValueError, match="non-empty 1-D vector"):
+                PhaseAssignment(rhos)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PhaseAssignment([0.5, 0.2])
         for gamma in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="gamma"):
                 global_solution(3, gamma)

@@ -135,6 +135,11 @@ class TestFZC:
                 FZCParams(**{**good, "r": bad})
         assert FZCParams(**{**good, "r": np.float32("-inf")}).r is None
 
+    def test_negative_index_needs_integer_exponent(self):
+        with pytest.raises(ValueError, match="negative m_k requires an integer exponent p"):
+            FZCParams(m_k=-1.5, p=0.5, q=1.0, r=None, n_chips=8)
+        assert FZCParams(m_k=-1.5, p=2.0, q=1.0, r=None, n_chips=8).m_k == -1.5
+
 
 class TestOptimalWeyl:
     def test_zero_slot_zero_gamma_all_ones(self):
@@ -186,6 +191,16 @@ class TestOptimalWeylPool:
 
     def test_tiny_negative_gamma_wraps_to_zero(self):
         np.testing.assert_array_equal(optimal_weyl_pool(-1e-17, 4, 8), optimal_weyl_pool(0.0, 4, 8))
+
+    @pytest.mark.parametrize("gamma, fraction", [(2.0**40 + 0.25, 0.25), (1e308, 0.0)])
+    def test_large_gamma_keeps_its_fraction(self, gamma, fraction):
+        # gamma is reduced before sigma/k_max is added, so no slot's phase is lost to rounding
+        pool = optimal_weyl_pool(gamma, 31, 31)
+        np.testing.assert_array_equal(pool.view(np.uint64),
+                                      optimal_weyl_pool(fraction, 31, 31).view(np.uint64))
+        assert len({row.tobytes() for row in pool}) == 31
+        code = optimal_weyl_sequence(OptimalWeylParams(gamma, 5, 31, 31)).chips
+        np.testing.assert_array_equal(code.view(np.uint64), pool[5].view(np.uint64))
 
     @pytest.mark.parametrize("field, kwargs", [
         ("gamma", dict(gamma=math.nan)),

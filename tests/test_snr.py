@@ -159,6 +159,18 @@ def test_counts_and_indices_must_be_integers(make, good, field, outside):
     assert make(**{**good, field: np.int64(good[field])}) == make(**good)
 
 
+@pytest.mark.parametrize("gamma, fraction", [(2.0**40 + 0.25, 0.25), (1e308, 0.0)])
+def test_large_gamma_keeps_its_fraction(gamma, fraction):
+    # gamma is reduced before sigma/N is added, so 2pi(gamma + sigma/N) stays finite and exact
+    budget = LinkBudget.from_db(10.0, 31, 5)
+    for sigma in (0, 3, 30):
+        assert expected_weyl_snr(sigma, gamma, 5, 31, budget) == expected_weyl_snr(
+            sigma, fraction, 5, 31, budget)
+        assert r_ik_closed(sigma, 7, gamma, 31) == r_ik_closed(sigma, 7, fraction, 31)
+        assert expected_r_sum_terms(sigma, gamma, 5, 31) == expected_r_sum_terms(
+            sigma, fraction, 5, 31)
+
+
 def test_slot_indices_wrap_mod_n():
     assert r_ik_closed(-28, 36, 0.1, 31) == r_ik_closed(3, 5, 0.1, 31)
     assert expected_r_sum_terms(-28, 0.1, 5, 31) == expected_r_sum_terms(3, 0.1, 5, 31)
