@@ -450,6 +450,17 @@ class TestPreset:
             ), f"WEYLCDMA_THREADS={threads}"
         assert multi_block["1"] == multi_block["2"]
 
+    def test_solve_reports_match_pinned_digest(self, capsys):
+        # sha256 of the stdout of `solve` over K x gamma (K outer), 2,000 samples, seed 3;
+        # pins the phases, objective, KKT residual and falsifier report byte for byte
+        for k in (2, 3, 4, 5, 7, 8, 10, 16, 20, 31, 40):
+            for gamma in ("0", "0.0161", "0.37"):
+                argv = ["solve", "--k", str(k), "--gamma", gamma, "--samples", "2000", "--seed", "3"]
+                assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "1768bfe22fb1a71e4fbbc702a0e35ffb72f51bbfd407e74424e8b7aa692576b9"
+        )
+
     def test_preset_names_cover_figures(self, tmp_path):
         for name in ("fig1", "fig2", "fig3", "fig4"):
             from weylcdma.cli import _preset_curves
