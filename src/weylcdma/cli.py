@@ -33,7 +33,7 @@ from weylcdma.sequences import (
     optimal_weyl_sequence,
     weyl_sequence,
 )
-from weylcdma.sim import SimConfig, SweepRow, family_capacity, sweep
+from weylcdma.sim import _FAMILY_KINDS, SimConfig, SweepRow, family_capacity, sweep
 from weylcdma.snr import LinkBudget, expected_weyl_snr, snr_lower_bound
 
 DEFAULT_PRESET_TRIALS = 20_000  # sized so 95% intervals resolve the curve orderings
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", default=None, help="JSON file supplying any of the flags below")
     b.add_argument("--axis", choices=("users", "ebn0"), default="users")
     b.add_argument("--values", help="comma-separated axis values")
-    b.add_argument("--family", choices=("weyl", "optimal", "fzc", "gold"), default="weyl")
+    b.add_argument("--family", choices=_FAMILY_KINDS, default="weyl")
     b.add_argument("--gamma", type=float, default=0.0)
     b.add_argument("--kmax", type=int)
     b.add_argument("--policy", choices=[p.value for p in AssignmentPolicy], default="random")

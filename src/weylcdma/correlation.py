@@ -31,6 +31,7 @@ __all__ = [
     "periodic_theta",
     "odd_theta_hat",
     "weyl_c_closed_form",
+    "circle_distance",
     "cross_bound",
     "r_ik",
     "aperiodic_table",
@@ -128,6 +129,14 @@ def weyl_c_closed_form(rho_i: float, rho_k: float, lag: int, n_chips: int) -> fl
     return abs(math.sin(math.pi * (n - l) * diff) / denom)
 
 
+def circle_distance(rho_i, rho_k):
+    """Wrap-around distance min(|rho_i - rho_k|, 1 - |rho_i - rho_k|) in [0, 1/2], elementwise,
+    of the phases reduced mod 1 (so a large phase keeps its fractional part)."""
+    diff = np.abs(np.subtract(np.mod(rho_i, 1.0), np.mod(rho_k, 1.0)))
+    diff = diff - np.floor(diff)  # fractional part; exact for diff >= 0
+    return np.minimum(diff, 1.0 - diff)
+
+
 def cross_bound(rho_i: float, rho_k: float) -> float:
     """Upper bound 1 / sin(pi * d(rho_i, rho_k)) on |C| over all lags.
 
@@ -137,9 +146,7 @@ def cross_bound(rho_i: float, rho_k: float) -> float:
     """
     _finite("rho_i", rho_i)
     _finite("rho_k", rho_k)
-    diff = abs(rho_i % 1.0 - rho_k % 1.0) % 1.0  # reduced first: a large phase keeps its fraction
-    d = min(diff, 1.0 - diff)
-    s = math.sin(math.pi * d)
+    s = math.sin(math.pi * circle_distance(rho_i, rho_k))
     if s == 0.0:
         raise DegeneratePhaseError(
             f"phases coincide mod 1 (rho_i={rho_i}, rho_k={rho_k}); bound is infinite"

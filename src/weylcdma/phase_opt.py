@@ -8,8 +8,8 @@ values, constructs the Lagrange multipliers that certify it, and checks
 the full KKT system (stationarity, primal feasibility, complementary
 slackness) numerically. A random-sampling falsifier provides an
 independent empirical cross-check. The objective and the falsifier share
-one pair sum, which walks the pairs i < k by index gap; the multipliers
-and the KKT check take their pairs from np.triu_indices(K, 1).
+one pair sum, which walks the pairs i < k by index gap; the slack and the
+multipliers hold one entry per pair, in np.triu_indices(K, 1) order.
 
 The falsifier computes that O(K^2) pair sum only for draws that a
 trig-free O(K) lower bound (sin x <= x on neighbour gaps, and the
@@ -30,7 +30,6 @@ __all__ = [
     "PhaseAssignment",
     "LagrangeMultipliers",
     "SamplingReport",
-    "circle_distance",
     "objective",
     "global_solution",
     "alpha_tilde",
@@ -64,20 +63,12 @@ class PhaseAssignment:
 
 @dataclass(frozen=True)
 class LagrangeMultipliers:
-    """Pair multipliers (i < k triangle) of the lower-distance (lam) and wrap (mu) constraints.
+    """Pair vectors of the lower-distance (lam) and wrap (mu) multipliers, in the slack t's order.
 
     The ordering, [0, 1) and t >= 0 multipliers are zero at the equispaced solution."""
 
     lam: np.ndarray
     mu: np.ndarray
-
-
-def circle_distance(rho_i, rho_k):
-    """Wrap-around distance min(|rho_i - rho_k|, 1 - |rho_i - rho_k|) in [0, 1/2], elementwise,
-    of the phases reduced mod 1 (so a large phase keeps its fractional part)."""
-    diff = np.abs(np.subtract(np.mod(rho_i, 1.0), np.mod(rho_k, 1.0)))
-    diff = diff - np.floor(diff)  # fractional part; exact for diff >= 0
-    return np.minimum(diff, 1.0 - diff)
 
 
 def _pair_sum(rhos: np.ndarray) -> np.ndarray:
@@ -119,9 +110,9 @@ def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, np.nda
     The offset enters mod 1/K: shifting gamma by 1/K permutes the same
     phase set, so the sorted representative uses gamma reduced to
     [0, 1/K), keeping the assignment sorted for any real gamma.  The
-    returned (K, K) slack array holds t[i, k] = min(|k-i|/K, 1 - |k-i|/K)
-    for i < k, which equals d(rho_i, rho_k) at this solution, and zeros
-    elsewhere.
+    returned slack vector holds, for each pair i < k in
+    np.triu_indices(K, 1) order, t = min((k-i)/K, 1 - (k-i)/K), which
+    equals d(rho_i, rho_k) at this solution.
     """
     k = _integer("n_users", n_users, 2)
     _finite("gamma", gamma)
@@ -130,9 +121,7 @@ def global_solution(n_users: int, gamma: float) -> tuple[PhaseAssignment, np.nda
     rhos = np.minimum(rhos, np.nextafter(1.0, 0.0))  # guard rounding at the top edge
     i, j = np.triu_indices(k, 1)
     gap = j - i
-    t = np.zeros((k, k))
-    t[i, j] = np.minimum(gap / k, 1.0 - gap / k)
-    return PhaseAssignment(rhos=rhos), t
+    return PhaseAssignment(rhos=rhos), np.minimum(gap / k, 1.0 - gap / k)
 
 
 def _alpha(t):
@@ -148,6 +137,16 @@ def alpha_tilde(m: int, n_users: int) -> float:
     return float(_alpha(min(m / k, 1.0 - m / k)))
 
 
+def _pairs(solution, multipliers=None):
+    """(assign, t, i, j) of a solution, i, j = np.triu_indices(K, 1), once t, lam and mu fit them."""
+    assign, t = solution
+    i, j = np.triu_indices(assign.n_users, 1)
+    vectors = (t,) if multipliers is None else (t, multipliers.lam, multipliers.mu)
+    if any(np.shape(v) != i.shape for v in vectors):  # numpy would broadcast a shorter one silently
+        raise ValueError(f"slack, lam and mu must hold one entry per pair of {assign.n_users} users")
+    return assign, t, i, j
+
+
 def construct_multipliers(
     n_users: int, solution: tuple[PhaseAssignment, np.ndarray]
 ) -> LagrangeMultipliers:
@@ -159,16 +158,13 @@ def construct_multipliers(
     constraints active and the weight splits evenly.
     """
     k = _integer("n_users", n_users, 1)
-    _, t = solution
-    i, j = np.triu_indices(k, 1)
+    assign, t, i, j = _pairs(solution)
+    if k != assign.n_users:
+        raise ValueError(f"n_users={k} does not match the solution's {assign.n_users} users")
     gap = j - i
-    a = _alpha(t[i, j])
+    a = _alpha(t)
     a = np.where(gap == k / 2.0, a / 2.0, a)
-    lam = np.zeros((k, k))
-    mu = np.zeros((k, k))
-    lam[i, j] = np.where(gap <= k / 2.0, a, 0.0)
-    mu[i, j] = np.where(gap >= k / 2.0, a, 0.0)
-    return LagrangeMultipliers(lam=lam, mu=mu)
+    return LagrangeMultipliers(lam=np.where(gap <= k / 2.0, a, 0.0), mu=np.where(gap >= k / 2.0, a, 0.0))
 
 
 def stationarity_vector(
@@ -179,12 +175,12 @@ def stationarity_vector(
     The t-pairs block is ordered (1,2), (1,3), ..., (1,K), (2,3), ...,
     (K-1,K); the whole vector vanishes at a KKT point.
     """
-    assign, t = solution
-    i, j = np.triu_indices(assign.n_users, 1)
+    assign, t, i, j = _pairs(solution, multipliers)
+    k = assign.n_users
     lam, mu = multipliers.lam, multipliers.mu
     net = lam - mu  # each pair adds net to its first phase and -net to its second
-    grad_rho = net.sum(axis=1) - net.sum(axis=0)
-    grad_t = lam[i, j] + mu[i, j] - _alpha(t[i, j])  # objective term d/dt 1/sin(pi t) = -alpha
+    grad_rho = np.bincount(i, net, k) - np.bincount(j, net, k)
+    grad_t = lam + mu - _alpha(t)  # objective term d/dt 1/sin(pi t) = -alpha
     return np.concatenate([grad_rho, grad_t])
 
 
@@ -194,11 +190,9 @@ def kkt_residual(
     """Max-norm stationarity defect plus the worst complementary-slackness
     and primal-feasibility violations; near-zero certifies global
     optimality of the convex slack-form problem."""
-    assign, t = solution
+    assign, t, i, j = _pairs(solution, multipliers)
     rhos = assign.rhos
-    i, j = np.triu_indices(assign.n_users, 1)
-    t = t[i, j]
-    lam, mu = multipliers.lam[i, j], multipliers.mu[i, j]
+    lam, mu = multipliers.lam, multipliers.mu
     lower = t + rhos[i] - rhos[j]
     wrap = t - 1.0 - rhos[i] + rhos[j]
     stat = np.max(np.abs(stationarity_vector(solution, multipliers)))

@@ -101,6 +101,7 @@ _TILE_PAIRS = 1 << 15  # pair rows per gather tile (1 MiB); the draws do not dep
 _THREADS_ENV = "WEYLCDMA_THREADS"
 
 _FZC_TRIPLE = (1.0, 1.0, 1.275)  # (p, q, r) exponents of the fzc pool
+_FAMILY_KINDS = ("weyl", "optimal", "fzc", "gold")  # the kinds _family_pool builds
 
 
 @dataclass(frozen=True)
@@ -202,13 +203,13 @@ def _family_pool(config: SimConfig) -> tuple[int, int, Callable[[], np.ndarray]]
     makes the codes, as one (F, N) array, only when called.
     """
     kind, n = config.family, config.n_chips
+    if kind not in _FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {kind!r}")
     if kind in ("weyl", "optimal"):
         slots = config.k_max
         if slots is None:
             slots = config.n_users if kind == "optimal" else n
         return slots, slots, lambda: optimal_weyl_pool(config.gamma, slots, n)
-    if kind not in ("fzc", "gold"):
-        raise ValueError(f"unknown family kind {kind!r}")
     if config.k_max is not None:
         raise ValueError(f"k_max applies to the weyl and optimal families, not {kind}")
     if kind == "fzc":

@@ -163,17 +163,12 @@ def expected_r_sum_terms(
     n = _integer("n_chips", n_chips, 2)
     k = _integer("n_users", n_users, 2, n)
     si = _integer("sigma_i", sigma_i, -math.inf) % n
-    weight = (k - 1) / (n - 1)
-    coupling = 0.0
-    cosine = 0.0
+    q = np.arange(1, n)
+    denom = 2.0 * np.sin(np.pi * (np.minimum(q, n - q) / n)) ** 2  # as in r_ik_closed
+    cos_k = np.cos(2.0 * np.pi * (gamma + (si + q) % n / n))
     cos_i = math.cos(2.0 * math.pi * (gamma + si / n))
-    for q in range(1, n):
-        d = min(q, n - q) / n
-        denom = 2.0 * math.sin(math.pi * d) ** 2
-        cos_k = math.cos(2.0 * math.pi * (gamma + (si + q) % n / n))
-        coupling += 4.0 * n / denom
-        cosine += n * (cos_k + cos_i) / denom
-    return weight * coupling, weight * cosine
+    weight = (k - 1) / (n - 1)
+    return weight * float(np.sum(4.0 * n / denom)), weight * float(np.sum(n * (cos_k + cos_i) / denom))
 
 
 def expected_r_sum(sigma_i: int, gamma: float, n_users: int, n_chips: int) -> float:

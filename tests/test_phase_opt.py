@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from weylcdma.correlation import circle_distance
 from weylcdma.phase_opt import (
+    LagrangeMultipliers,
     PhaseAssignment,
     SamplingReport,
     _pair_sum,
     alpha_tilde,
-    circle_distance,
     construct_multipliers,
     global_solution,
     kkt_residual,
@@ -29,6 +30,11 @@ def reference_pair_sum(rhos):
     s = np.sin(np.pi * circle_distance(rhos[..., i], rhos[..., j]))
     with np.errstate(divide="ignore"):
         return np.sum(1.0 / s, axis=-1)
+
+
+def pair_index(k):
+    """Position of each pair (i, j), i < j, in the np.triu_indices(k, 1) order of per-pair vectors."""
+    return {(int(i), int(j)): p for p, (i, j) in enumerate(zip(*np.triu_indices(k, 1)))}
 
 
 def unpruned_report(k, samples, seed):
@@ -160,7 +166,7 @@ class TestGlobalSolution:
     def test_four_users_gamma_zero(self):
         assign, slack = global_solution(4, 0.0)
         np.testing.assert_allclose(assign.rhos, [0.0, 0.25, 0.5, 0.75])
-        assert slack[0, 3] == pytest.approx(0.25)  # min(3/4, 1/4)
+        assert slack[pair_index(4)[0, 3]] == pytest.approx(0.25)  # min(3/4, 1/4)
 
     def test_two_users_offset(self):
         assign, _ = global_solution(2, 0.3)
@@ -168,9 +174,10 @@ class TestGlobalSolution:
 
     def test_slack_equals_circle_distance(self):
         assign, slack = global_solution(7, 0.05)
+        pair = pair_index(7)
         for i in range(7):
             for k in range(i + 1, 7):
-                assert slack[i, k] == pytest.approx(
+                assert slack[pair[i, k]] == pytest.approx(
                     circle_distance(assign.rhos[i], assign.rhos[k]), abs=1e-12
                 )
 
@@ -205,6 +212,8 @@ class TestGlobalSolution:
             (lambda: construct_multipliers(2.5, global_solution(3, 0.0)), "n_users"),
             (lambda: construct_multipliers(3.0, global_solution(3, 0.0)), "n_users"),
             (lambda: construct_multipliers(0, global_solution(3, 0.0)), "n_users"),
+            (lambda: construct_multipliers(5, global_solution(7, 0.0)), "n_users"),
+            (lambda: construct_multipliers(9, global_solution(7, 0.0)), "n_users"),
             (lambda: verify_optimality_by_sampling(3.7, 10, 0), "n_users"),
             (lambda: verify_optimality_by_sampling(3.0, 10, 0), "n_users"),
             (lambda: verify_optimality_by_sampling(1, 10, 0), "n_users"),
@@ -245,19 +254,21 @@ class TestMultipliers:
     def test_odd_case_k3(self):
         sol = global_solution(3, 0.0)
         mult = construct_multipliers(3, sol)
+        pair = pair_index(3)
         a1 = alpha_tilde(1, 3)
-        assert mult.lam[0, 1] == pytest.approx(a1)
-        assert mult.mu[0, 2] == pytest.approx(alpha_tilde(2, 3))
+        assert mult.lam[pair[0, 1]] == pytest.approx(a1)
+        assert mult.mu[pair[0, 2]] == pytest.approx(alpha_tilde(2, 3))
         assert alpha_tilde(2, 3) == pytest.approx(a1)  # symmetric gap
-        assert mult.lam[0, 2] == 0.0
-        assert mult.mu[0, 1] == 0.0
+        assert mult.lam[pair[0, 2]] == 0.0
+        assert mult.mu[pair[0, 1]] == 0.0
 
     def test_even_case_splits_antipodal_gap(self):
         sol = global_solution(4, 0.0)
         mult = construct_multipliers(4, sol)
         a2 = alpha_tilde(2, 4)
-        assert mult.lam[0, 2] == pytest.approx(a2 / 2.0)
-        assert mult.mu[0, 2] == pytest.approx(a2 / 2.0)
+        p = pair_index(4)[0, 2]
+        assert mult.lam[p] == pytest.approx(a2 / 2.0)
+        assert mult.mu[p] == pytest.approx(a2 / 2.0)
 
     def test_alpha_symmetry(self):
         for k in (3, 4, 7, 10):
@@ -273,13 +284,14 @@ class TestMultipliers:
         for k in (5, 6):
             assign, slack = global_solution(k, 0.0)
             mult = construct_multipliers(k, (assign, slack))
+            pair = pair_index(k)
             for i in range(k):
                 for j in range(i + 1, k):
-                    gap = j - i
+                    gap, p = j - i, pair[i, j]
                     a = alpha_tilde(gap, k)
-                    lam_mu = (mult.lam[i, j], mult.mu[i, j])
-                    c_val = slack[i, j] + assign.rhos[i] - assign.rhos[j]
-                    d_val = slack[i, j] - 1.0 - assign.rhos[i] + assign.rhos[j]
+                    lam_mu = (mult.lam[p], mult.mu[p])
+                    c_val = slack[p] + assign.rhos[i] - assign.rhos[j]
+                    d_val = slack[p] - 1.0 - assign.rhos[i] + assign.rhos[j]
                     if gap < k / 2:
                         assert abs(c_val) < 1e-12 and d_val < -1e-9
                         assert lam_mu == (a, 0.0)
@@ -313,11 +325,27 @@ class TestKKT:
             assert np.max(np.abs(vec[k:])) < 1e-10       # slack block
             # per-pair loop reference for the phase block (summation order differs)
             ref = np.zeros(k)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    ref[i] += mult.lam[i, j] - mult.mu[i, j]
-                    ref[j] += mult.mu[i, j] - mult.lam[i, j]
+            for (i, j), p in pair_index(k).items():
+                ref[i] += mult.lam[p] - mult.mu[p]
+                ref[j] += mult.mu[p] - mult.lam[p]
             np.testing.assert_allclose(vec[:k], ref, rtol=0, atol=1e-12)
+
+    def test_pair_vectors_must_hold_one_entry_per_pair(self):
+        # a shorter vector would broadcast against the 21 pairs of K = 7 without a word
+        assign, t = global_solution(7, 0.0)
+        mult = construct_multipliers(7, (assign, t))
+        for short in (global_solution(2, 0.0)[1], t[:-1], 0.5):
+            with pytest.raises(ValueError, match="one entry per pair"):
+                construct_multipliers(7, (assign, short))
+            for sol, mults in (
+                ((assign, short), mult),
+                ((assign, t), LagrangeMultipliers(lam=short, mu=mult.mu)),
+                ((assign, t), LagrangeMultipliers(lam=mult.lam, mu=short)),
+            ):
+                with pytest.raises(ValueError, match="one entry per pair"):
+                    kkt_residual(sol, mults)
+                with pytest.raises(ValueError, match="one entry per pair"):
+                    stationarity_vector(sol, mults)
 
     def test_perturbed_solution_breaks_certificate(self):
         sol = global_solution(6, 0.0)

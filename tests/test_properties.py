@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylcdma.correlation import (  # noqa: E402
     aperiodic_table,
+    circle_distance,
     cross_bound,
     r_ik,
     theta_pairs,
 )
-from weylcdma.phase_opt import _lower_bound, circle_distance  # noqa: E402
+from weylcdma.phase_opt import _lower_bound  # noqa: E402
 from weylcdma.sequences import (  # noqa: E402
     OptimalWeylParams,
     optimal_weyl_pool,

@@ -104,6 +104,13 @@ class TestExpectedRSum:
             expected = n * (n - 2) * (k - 1) / 3.0 * math.cos(2 * math.pi * (gamma + si / n))
             assert cosine == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
+    def test_gap_sum_matches_per_pair_closed_form(self):
+        # the two terms add up to the (K-1)/(N-1)-weighted sum of r_ik_closed over the gaps q
+        for k, n, si, gamma in ((5, 16, 3, 0.017), (31, 31, 11, 1 / 62), (7, 30, 0, 0.4)):
+            coupling, cosine = expected_r_sum_terms(si, gamma, k, n)
+            pairs = math.fsum(r_ik_closed(si, si + q, gamma, n) for q in range(1, n))
+            assert coupling + cosine == pytest.approx((k - 1) / (n - 1) * pairs, rel=1e-12)
+
     def test_rejects_more_users_than_slots(self):
         # the (K-1)/(N-1) slot weight assumes K distinct slots out of N
         for k in (1, 32, 40):
