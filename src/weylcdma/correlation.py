@@ -9,8 +9,10 @@ SNR.
 Lag conventions match 1-indexed chips: for 0 <= l <= N-1,
 C(l) = sum_{n=1}^{N-l} conj(x[n+l]) * y[n]; for 1-N <= l < 0,
 C(l) = sum_{n=1}^{N+l} conj(x[n]) * y[n-l]; C vanishes for |l| >= N.
-Sums are evaluated by np.dot and np.correlate, so rounding error stays far
-below the tolerances used by callers.
+Single lags are evaluated by np.dot, a pair's lag vector by np.correlate,
+and the lag table of many pairs (a family's, or one receiver's row against
+a family) by one matrix product per lag, 2N - 1 in all, so rounding error
+stays far below the tolerances used by callers.
 """
 
 from __future__ import annotations
@@ -161,6 +163,14 @@ def _lag_vector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+def _adjacent_moment(c: np.ndarray) -> np.ndarray:
+    """The interference moment of each lag vector along the last axis of c (..., 2N+1)."""
+    # the pairs (C(l-N), C(l-N+1)) and (C(l), C(l+1)) over l = 0..N-1 are
+    # together every adjacent pair of the lag vector
+    lo, hi = c[..., :-1], c[..., 1:]
+    return np.sum(np.abs(lo) ** 2 + (lo * hi.conj()).real + np.abs(hi) ** 2, axis=-1)
+
+
 def r_ik(x, y) -> float:
     """Adjacent-lag interference moment of a sequence pair.
 
@@ -168,13 +178,23 @@ def r_ik(x, y) -> float:
     l-N, l-N+1, l, l+1 plus the real cross terms of each adjacent pair.
     Equals 6*N**3 times the variance of the per-interferer despread output
     under uniform random delay, carrier phase, and symbol signs, so that
-    {sum_k r/(6N^3) + N0/2E}^(-1/2) is the analytic SNR.
+    {sum_k r/(6N^3) + N0/2E}^(-1/2) is the analytic SNR.  The lag vector
+    comes from np.correlate, not from a lag table, so r_ik is a per-pair
+    check on the table-based ``snr.pursley_snr``.
     """
-    c = _lag_vector(*_pair(x, y))
-    # the pairs (C(l-N), C(l-N+1)) and (C(l), C(l+1)) over l = 0..N-1 are
-    # together every adjacent pair of the lag vector
-    lo, hi = c[:-1], c[1:]
-    return float(np.sum(np.abs(lo) ** 2 + (lo * hi.conj()).real + np.abs(hi) ** 2))
+    return float(_adjacent_moment(_lag_vector(*_pair(x, y))))
+
+
+def _cross_table(receivers: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """T[m, k, lag + N] = C(lag) of receivers[m] against codes[k], (M, F, 2N+1); a matmul per lag."""
+    m, n = receivers.shape
+    table = np.zeros((m, len(codes), 2 * n + 1), dtype=np.complex128)
+    rc = np.conj(receivers)
+    for l in range(n):
+        table[:, :, n + l] = rc[:, l:] @ codes[:, : n - l].T
+        if l:
+            table[:, :, n - l] = rc[:, : n - l] @ codes[:, l:].T
+    return table
 
 
 def aperiodic_table(family) -> np.ndarray:
@@ -184,14 +204,7 @@ def aperiodic_table(family) -> np.ndarray:
     C_{i,k}(lag) for lag in [-N, N]; the lag = +-N planes are zero.
     """
     x = _codes(family)
-    f, n = x.shape
-    table = np.zeros((f, f, 2 * n + 1), dtype=np.complex128)
-    xc = np.conj(x)
-    for l in range(n):
-        table[:, :, n + l] = xc[:, l:] @ x[:, : n - l].T
-        if l:
-            table[:, :, n - l] = xc[:, : n - l] @ x[:, l:].T
-    return table
+    return _cross_table(x, x)
 
 
 def theta_pairs(table: np.ndarray) -> np.ndarray:

@@ -227,12 +227,18 @@ def _lower_bound(rho: np.ndarray) -> np.ndarray:
     K csc(pi g/K); the K/2 antipodal pairs of an even K give at least K/2.
     The 1e-13 under each neighbour term covers the absolute rounding of
     _pair_sum's sines, which is what counts near a duplicate; the factor
-    1 - 1e-9 covers the rest.
+    1 - 1e-9 covers the rest.  The gaps and then their terms are written
+    into one (K, m) array, by the operations of 1.0 / (pi * gaps + 1e-13).
     """
     k = rho.shape[0]
-    gaps = np.diff(rho, axis=0, append=rho[:1] + 1.0)
+    terms = np.empty_like(rho)
+    np.subtract(rho[1:], rho[:-1], out=terms[:-1])
+    np.subtract(rho[0] + 1.0, rho[-1], out=terms[-1])  # the wrap gap, as np.diff(append=) takes it
+    terms *= np.pi
+    terms += 1e-13
+    np.divide(1.0, terms, out=terms)
     floor = sum(k / math.sin(math.pi * g / k) for g in range(2, (k + 1) // 2)) + k / 2 * (k % 2 == 0)
-    return (np.sum(1.0 / (np.pi * gaps + 1e-13), axis=0) + floor) * (1.0 - 1e-9)
+    return (np.sum(terms, axis=0) + floor) * (1.0 - 1e-9)
 
 
 def verify_optimality_by_sampling(n_users: int, samples: int, seed: int) -> SamplingReport:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weylcdma.correlation import _codes, r_ik
+from weylcdma.correlation import _adjacent_moment, _codes, _cross_table
+from weylcdma.correlation import r_ik  # noqa: F401 -- unused here, but perfbench rebinds it
 from weylcdma.sequences import _finite, _integer
 
 __all__ = [
@@ -74,17 +75,25 @@ class LinkBudget:
         return 0.5 / self.e_over_n0
 
 
+def _inverse_sqrt(variance: float) -> float:
+    """variance^(-1/2); +inf for a zero variance, which has neither interference nor noise."""
+    return math.inf if variance == 0.0 else variance ** -0.5
+
+
 def pursley_snr(user_i: int, family, budget: LinkBudget) -> float:
     """Correlator-output SNR of user i against the other codes in ``family``.
 
     SNR_i = {sum_{k != i} r_ik / (6 N^3) + N0/2E}^(-1/2), with r_ik the
-    adjacent-lag interference moment evaluated by direct summation.
+    adjacent-lag interference moment.  User i's row of lag vectors against
+    every other code is built at once, one matrix product per lag, and each
+    r_ik is read off it; +inf for a lone code under a noise-free budget.
     """
     codes = _codes(family)
     n = codes.shape[1]
     i = _integer("user_i", user_i, 0, len(codes) - 1)
-    mai = sum(r_ik(codes[i], c) for k, c in enumerate(codes) if k != i)
-    return (mai / (6.0 * n**3) + budget.noise_term) ** -0.5
+    row = _cross_table(codes[i : i + 1], np.delete(codes, i, axis=0))[0]
+    mai = float(np.sum(_adjacent_moment(row)))
+    return _inverse_sqrt(mai / (6.0 * n**3) + budget.noise_term)
 
 
 def expected_weyl_snr(
@@ -103,14 +112,14 @@ def expected_weyl_snr(
     k = _integer("n_users", n_users, 1, n)
     cos_term = math.cos(2.0 * math.pi * (gamma + si / n))
     r_i = (k - 1) / (18.0 * n**2) * (2.0 * (n + 1) + (n - 2) * cos_term)  # +0.0 at K = 1
-    return (r_i + budget.noise_term) ** -0.5
+    return _inverse_sqrt(r_i + budget.noise_term)
 
 
 def snr_lower_bound(n_users: int, n_chips: int, budget: LinkBudget) -> float:
     """Worst-slot SNR bound {(K-1)/(6N) + N0/2E}^(-1/2) for K distinct slots out of N."""
     n = _integer("n_chips", n_chips, 1)
     k = _integer("n_users", n_users, 1, n)
-    return ((k - 1) / (6.0 * n) + budget.noise_term) ** -0.5
+    return _inverse_sqrt((k - 1) / (6.0 * n) + budget.noise_term)
 
 
 def csc2_sum(n: int) -> float:

@@ -1,10 +1,12 @@
-"""Test oracles for the trial engine in ``weylcdma.sim``.
+"""Test oracles for the trial engine in ``weylcdma.sim`` and the falsifier's bound.
 
 ``interference`` and ``decision_statistic`` are the scalar reference path:
 one trial, one receiver, every crosscorrelation from ``aperiodic_c`` lag
 by lag, so they share no table code (``aperiodic_table``, ``theta_pairs``)
 with the engine they check.  ``simulate_trials`` keeps every draw and
 decision of an engine run, for comparing the two trial by trial.
+``lower_bound`` is ``phase_opt._lower_bound`` written with a temporary per
+step, which the falsifier's in-place version must match bit for bit.
 """
 
 from __future__ import annotations
@@ -77,3 +79,11 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
         for f in dataclasses.fields(TrialDraw)
     })
     return draw, np.concatenate(noise), np.concatenate(z)
+
+
+def lower_bound(rho: np.ndarray) -> np.ndarray:
+    """``phase_opt._lower_bound`` as one array expression per step, for sorted phases (K, m)."""
+    k = rho.shape[0]
+    gaps = np.diff(rho, axis=0, append=rho[:1] + 1.0)
+    floor = sum(k / math.sin(math.pi * g / k) for g in range(2, (k + 1) // 2)) + k / 2 * (k % 2 == 0)
+    return (np.sum(1.0 / (np.pi * gaps + 1e-13), axis=0) + floor) * (1.0 - 1e-9)

@@ -196,6 +196,13 @@ class TestSnr:
             tables.append([(r[0], r[2], r[3]) for r in data_rows(out)[1]])
         assert tables[0] == tables[1]
 
+    def test_single_user_without_noise_is_infinite(self, capsys):
+        code, out, err = run_cli(capsys, ["snr", "--n", "31", "--k", "1", "--ebn0-db", "inf"])
+        assert code == 0 and err == ""
+        header, rows = data_rows(out)
+        assert len(rows) == 31
+        assert all(r[2] == "inf" and r[3] == "inf" for r in rows)
+
     def test_more_users_than_chips_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["snr", "--n", "31", "--k", "40", "--ebn0-db", "10"])
         assert code == 1 and out == ""

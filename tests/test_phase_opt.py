@@ -12,6 +12,7 @@ from weylcdma.phase_opt import (
     LagrangeMultipliers,
     PhaseAssignment,
     SamplingReport,
+    _lower_bound,
     _pair_sum,
     alpha_tilde,
     construct_multipliers,
@@ -21,6 +22,7 @@ from weylcdma.phase_opt import (
     stationarity_vector,
     verify_optimality_by_sampling,
 )
+from oracle import lower_bound
 
 
 def reference_pair_sum(rhos):
@@ -311,6 +313,16 @@ class TestKKT:
                 mult = construct_multipliers(k, sol)
                 assert kkt_residual(sol, mult) < 1e-9
 
+    @pytest.mark.parametrize("k", [128, 512, 1024])
+    def test_residual_scaled_by_largest_multiplier_certifies_large_k(self, k):
+        # the absolute residual grows with K (about 2e-9 at K = 1,024); scaled by the
+        # largest multiplier, about K^2 / pi, one threshold holds at every K
+        for gamma in (0.0, 0.37):
+            sol = global_solution(k, gamma)
+            mult = construct_multipliers(k, sol)
+            scale = max(mult.lam.max(), mult.mu.max())
+            assert kkt_residual(sol, mult) / scale < 1e-13
+
     def test_two_user_system_cancels_exactly(self):
         sol = global_solution(2, 0.0)
         mult = construct_multipliers(2, sol)
@@ -393,6 +405,13 @@ class TestSampling:
             for samples in sorted({1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 10_000}):
                 report = verify_optimality_by_sampling(k, samples, seed)
                 assert report == unpruned_report(k, samples, seed), (k, seed, samples)
+
+    @pytest.mark.parametrize("k", [4, 7, 20, 64])
+    def test_lower_bound_equals_its_array_expression_oracle(self, k):
+        # written in place, the bound keeps every bit of the one-temporary-per-step form
+        for seed in range(3):
+            rho = np.sort(np.random.default_rng(seed).random((65_536 // k, k)), axis=1).T.copy()
+            assert _lower_bound(rho).tobytes() == lower_bound(rho).tobytes()
 
     def test_near_duplicate_samples_stay_above_optimum(self):
         # duplicates give infinite objectives and cannot undercut the optimum

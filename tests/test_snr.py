@@ -8,6 +8,7 @@ import pytest
 
 from weylcdma.correlation import r_ik
 from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence
+from weylcdma.sim import SimConfig, build_pool
 from weylcdma.snr import (
     LinkBudget,
     csc2_sum,
@@ -272,6 +273,19 @@ class TestPursleySnr:
                 expected_weyl_snr(sigma, gamma, n, n, budget), rel=1e-8
             )
 
+    @pytest.mark.parametrize("family, n", [
+        ("weyl", 31), ("gold", 31), ("fzc", 31), ("weyl", 63), ("weyl", 127),
+    ])
+    def test_matches_per_pair_oracle(self, family, n):
+        # the lag-table row against the sum of np.correlate-based r_ik, every user
+        codes = build_pool(SimConfig(n_users=2, n_chips=n, ebn0_db=25.0, trials=1, seed=0,
+                                     family=family, gamma=0.3 / n))
+        budget = LinkBudget.from_db(25.0, n, len(codes))
+        for i in range(len(codes)):
+            mai = sum(r_ik(codes[i], c) for k, c in enumerate(codes) if k != i)
+            oracle = (mai / (6.0 * n**3) + budget.noise_term) ** -0.5
+            assert pursley_snr(i, codes, budget) == pytest.approx(oracle, rel=1e-12, abs=0)
+
     def test_rejects_mixed_lengths(self):
         budget = LinkBudget.from_db(10.0, 8, 2)
         family = [np.ones(8, dtype=complex), np.ones(9, dtype=complex)]
@@ -309,6 +323,17 @@ class TestPursleySnr:
         print(f"K<N slot-expectation agreement: mean rel deviation {mean_dev:.3%} "
               f"(K={k}, N={n}; informational only)")
         assert math.isfinite(mean_dev)
+
+
+def test_no_interference_and_no_noise_is_infinite():
+    # a lone user under a noise-free budget: the SNR is +inf, not a ZeroDivisionError
+    budget = LinkBudget.from_db(math.inf, 31, 1)
+    assert pursley_snr(0, slot_family(0.1, 31, slots=[4]), budget) == math.inf
+    assert expected_weyl_snr(4, 0.1, 1, 31, budget) == math.inf
+    assert snr_lower_bound(1, 31, budget) == math.inf
+    # either term alone keeps the SNR finite
+    assert math.isfinite(pursley_snr(0, slot_family(0.1, 31, slots=[4, 9]), budget))
+    assert math.isfinite(snr_lower_bound(1, 31, LinkBudget.from_db(200.0, 31, 1)))
 
 
 class TestLinkBudget:
