@@ -5,8 +5,7 @@ experiment presets.
 All output is machine-readable (CSV or key=value lines).  CSV headers echo
 the package version, a hash of the effective configuration, and every
 effective parameter, so reruns with the same seed reproduce identical data
-rows.  dB values are converted to linear scale only by
-``LinkBudget.from_db``.
+rows.  E/N0 goes on in dB, converted only by ``snr.noise_term``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from weylcdma.sequences import (
     weyl_sequence,
 )
 from weylcdma.sim import _FAMILY_KINDS, SimConfig, SweepRow, family_capacity, sweep
-from weylcdma.snr import LinkBudget, expected_weyl_snr, snr_lower_bound
+from weylcdma.snr import expected_weyl_snr, snr_lower_bound
 
 DEFAULT_PRESET_TRIALS = 20_000  # sized so 95% intervals resolve the curve orderings
 DEFAULT_PRESET_SEED = 1009
@@ -142,10 +141,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_snr(args) -> int:
-    budget = LinkBudget.from_db(args.ebn0_db, n_chips=args.n, n_users=args.k)
-    lower = snr_lower_bound(args.k, args.n, budget)
+    lower = snr_lower_bound(args.k, args.n, args.ebn0_db)
     rows = [
-        (s, args.gamma, expected_weyl_snr(s, args.gamma, args.k, args.n, budget), lower)
+        (s, args.gamma, expected_weyl_snr(s, args.gamma, args.k, args.n, args.ebn0_db), lower)
         for s in range(args.n)
     ]
     params = {

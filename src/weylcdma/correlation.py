@@ -1,10 +1,10 @@
 """Correlation machinery for spreading-sequence pairs.
 
-Provides the lag-windowed aperiodic partial correlation C(l), its periodic
-and odd combinations theta(l) = C(l) + C(l-N) and theta_hat(l) =
-C(l) - C(l-N), the closed form and crosscorrelation bound for Weyl-class
-pairs, and the adjacent-lag interference moment r used by the analytic
-SNR.
+Provides the lag-windowed aperiodic partial correlation C(l), lag tables
+with their periodic and odd combinations theta(l) = C(l) + C(l-N) and
+theta_hat(l) = C(l) - C(l-N), the closed form and crosscorrelation bound
+for Weyl-class pairs, and the adjacent-lag interference moment r used by
+the analytic SNR.  Every code needs at least one chip, all finite.
 
 Lag conventions match 1-indexed chips: for 0 <= l <= N-1,
 C(l) = sum_{n=1}^{N-l} conj(x[n+l]) * y[n]; for 1-N <= l < 0,
@@ -30,8 +30,6 @@ __all__ = [
     "DegeneratePhaseWarning",
     "CorrelationProfile",
     "aperiodic_c",
-    "periodic_theta",
-    "odd_theta_hat",
     "weyl_c_closed_form",
     "circle_distance",
     "cross_bound",
@@ -50,11 +48,20 @@ class DegeneratePhaseWarning(UserWarning):
     """Emitted when coincident phases force the closed form onto its limit value N - l."""
 
 
-def _chips(x) -> np.ndarray:
+def _chips(x, check: bool = True) -> np.ndarray:
     a = np.asarray(getattr(x, "chips", x), dtype=np.complex128)
     if a.ndim != 1:
         raise ValueError("expected a 1-D chip vector")
-    return a
+    return _checked(a) if check else a
+
+
+def _checked(codes: np.ndarray) -> np.ndarray:
+    """codes (..., N) as they are; a ValueError for a code with no chips or a non-finite chip."""
+    if not codes.shape[-1]:
+        raise ValueError("a code must have at least one chip")
+    if not np.isfinite(codes).all():
+        raise ValueError("every chip must be finite")
+    return codes
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -72,13 +79,13 @@ def _codes(family) -> np.ndarray:
     if isinstance(family, np.ndarray) and family.ndim == 2:
         codes = family.astype(np.complex128, copy=False)
     else:
-        rows = [_chips(s) for s in family]
+        rows = [_chips(s, check=False) for s in family]  # checked once, stacked
         if any(c.size != rows[0].size for c in rows):
             raise ValueError("all codes in the family must have equal length")
         codes = np.vstack(rows) if rows else np.empty((0, 0), dtype=np.complex128)
     if not len(codes):
         raise ValueError("family must contain at least one code")
-    return codes
+    return _checked(codes)
 
 
 def aperiodic_c(x, y, lag: int) -> complex:
@@ -91,20 +98,6 @@ def aperiodic_c(x, y, lag: int) -> complex:
     if l >= 0:
         return complex(np.dot(np.conj(a[l:]), b[: n - l]))
     return complex(np.dot(np.conj(a[: n + l]), b[-l:]))
-
-
-def periodic_theta(x, y, lag: int) -> complex:
-    """Periodic correlation theta(lag) = C(lag) + C(lag - N) for lag in [0, N)."""
-    a, b = _pair(x, y)
-    l = _integer("lag", lag, 0, a.size - 1)
-    return aperiodic_c(a, b, l) + aperiodic_c(a, b, l - a.size)
-
-
-def odd_theta_hat(x, y, lag: int) -> complex:
-    """Odd correlation theta_hat(lag) = C(lag) - C(lag - N) for lag in [0, N)."""
-    a, b = _pair(x, y)
-    l = _integer("lag", lag, 0, a.size - 1)
-    return aperiodic_c(a, b, l) - aperiodic_c(a, b, l - a.size)
 
 
 def weyl_c_closed_form(rho_i: float, rho_k: float, lag: int, n_chips: int) -> float:
@@ -210,12 +203,14 @@ def aperiodic_table(family) -> np.ndarray:
 def theta_pairs(table: np.ndarray) -> np.ndarray:
     """Adjacent-lag theta/theta_hat pairs of an ``aperiodic_table`` layout.
 
-    Takes a (..., 2N+1) lag table and returns (..., 2, N, 2) with
+    Takes a (..., 2N+1) lag table, N >= 1, and returns (..., 2, N, 2) with
     [..., s, l, :] = (Theta_s(l), Theta_s(l+1)) for l = 0..N-1, where
     Theta_0 = theta and Theta_1 = theta_hat; the l+1 = N entries are
     theta(N) = theta(0) and theta_hat(N) = -theta_hat(0).
     """
-    n = table.shape[-1] // 2
+    n, odd = divmod(table.shape[-1], 2)
+    if not (odd and n):
+        raise ValueError(f"expected a lag axis of 2N + 1 entries with N >= 1, got {table.shape[-1]}")
     current, previous = table[..., n:], table[..., : n + 1]  # C(l), C(l - N) for l = 0..N
     pairs = np.empty(table.shape[:-1] + (2, n, 2), dtype=table.dtype)
     for j in (0, 1):  # [..., s, l, j] = Theta_s(l + j)

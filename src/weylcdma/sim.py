@@ -76,7 +76,7 @@ from weylcdma.sequences import (
     optimal_weyl_sequence,  # noqa: F401 -- unused here, but perfbench/spans.py rebinds it
     vdc_assignment,
 )
-from weylcdma.snr import LinkBudget
+from weylcdma.snr import noise_term
 
 __all__ = [
     "TC",
@@ -135,7 +135,7 @@ class SimConfig:
         if self.k_max is not None:
             _integer("k_max", self.k_max, 1)
         _finite("gamma", self.gamma)
-        LinkBudget.from_db(self.ebn0_db, self.n_chips, self.n_users)  # raises on a bad E/N0
+        noise_term(self.ebn0_db)  # raises on a bad E/N0
         object.__setattr__(self, "policy", AssignmentPolicy(self.policy).value)  # "fixed", not AssignmentPolicy.FIXED
         capacity = _family_pool(self)[0]  # raises on the family kind's own rules
         if self.policy == AssignmentPolicy.VAN_DER_CORPUT:
@@ -257,7 +257,7 @@ def _fixed_assignment(config: SimConfig, pool_size: int) -> np.ndarray | None:
 
 
 def _noise_std(config: SimConfig) -> float:
-    return math.sqrt(LinkBudget.from_db(config.ebn0_db, config.n_chips, config.n_users).noise_term)
+    return math.sqrt(noise_term(config.ebn0_db))
 
 
 def _pair_table(config: SimConfig, per_slot: bool) -> np.ndarray:

@@ -5,13 +5,13 @@ moments, the closed-form expected SNR for the slot-based Weyl family with
 k_max = N under uniformly random distinct slots, and its worst-slot lower
 bound.  The intermediate identities of the expectation (the cosecant-square
 sum and the per-gap closed form of the interference moment) are exposed
-separately so each derivation step can be tested on its own.
+separately so each derivation step can be tested on its own.  The SNR
+functions take E/N0 in dB, which enters only as ``noise_term``'s N0/2E.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from weylcdma.correlation import r_ik  # noqa: F401 -- unused here, but perfbenc
 from weylcdma.sequences import _finite, _integer
 
 __all__ = [
-    "LinkBudget",
+    "noise_term",
     "pursley_snr",
     "expected_weyl_snr",
     "snr_lower_bound",
@@ -31,48 +31,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Link parameters: E/N0 on a linear scale plus code length and user count.
+def noise_term(ebn0_db: float) -> float:
+    """N0/2E of an E/N0 in dB, the package's one dB-to-linear conversion; 0 at +inf dB.  A
+    ValueError unless ebn0_db is +inf or a finite real (``sequences._finite``) within about
+    +-3000 dB, where its linear ratio and N0/2E are finite floats."""
+    db = math.inf if ebn0_db == math.inf else _finite("ebn0_db", ebn0_db)
+    try:
+        term = 0.5 / 10.0 ** (db / 10.0)  # a Python float raises on overflow
+    except (OverflowError, ZeroDivisionError):
+        term = math.nan
+    if not term < math.inf:
+        raise ValueError(f"ebn0_db must lie in about [-3000, 3000] dB or be +inf, got {ebn0_db}")
+    return term
 
-    The CLI converts dB input exactly once (via ``from_db``); everything in
-    this module works on the linear ratio.
-    """
 
-    e_over_n0: float
-    n_chips: int
-    n_users: int
-
-    def __post_init__(self) -> None:
-        e_over_n0 = self.e_over_n0
-        linear = math.inf if e_over_n0 == math.inf else _finite("e_over_n0", e_over_n0)
-        if not (linear > 0 and 0.5 / linear < math.inf):  # 0.5 / 1e-320 overflows to inf
-            raise ValueError(f"e_over_n0 must be positive with a finite N0/2E, got {e_over_n0!r}")
-        _integer("n_chips", self.n_chips, 2)
-        _integer("n_users", self.n_users, 1)
-
-    @classmethod
-    def from_db(cls, ebn0_db: float, n_chips: int, n_users: int) -> "LinkBudget":
-        """The package's one dB-to-linear conversion; +inf dB is noise-free.
-
-        Anything but +inf or a finite real (``sequences._finite``) is rejected,
-        as is a value whose linear ratio or noise term N0/2E is not a finite
-        float (beyond about +-3000 dB).
-        """
-        db = math.inf if ebn0_db == math.inf else _finite("ebn0_db", ebn0_db)
-        try:
-            e_over_n0 = 10.0 ** (db / 10.0)  # a Python float raises on overflow
-            noise_term = 0.5 / e_over_n0
-        except (OverflowError, ZeroDivisionError):
-            noise_term = math.nan
-        if not noise_term < math.inf:
-            raise ValueError(f"ebn0_db must lie in about [-3000, 3000] dB or be +inf, got {ebn0_db}")
-        return cls(e_over_n0=e_over_n0, n_chips=n_chips, n_users=n_users)
-
-    @property
-    def noise_term(self) -> float:
-        """N0 / (2E), the additive noise contribution to the SNR denominator."""
-        return 0.5 / self.e_over_n0
+class LinkBudget:  # unused here, but perfbench/workloads.py calls from_db, whose value is ebn0_db
+    from_db = staticmethod(lambda ebn0_db, n_chips, n_users: ebn0_db)
 
 
 def _inverse_sqrt(variance: float) -> float:
@@ -80,24 +54,25 @@ def _inverse_sqrt(variance: float) -> float:
     return math.inf if variance == 0.0 else variance ** -0.5
 
 
-def pursley_snr(user_i: int, family, budget: LinkBudget) -> float:
+def pursley_snr(user_i: int, family, ebn0_db: float) -> float:
     """Correlator-output SNR of user i against the other codes in ``family``.
 
     SNR_i = {sum_{k != i} r_ik / (6 N^3) + N0/2E}^(-1/2), with r_ik the
     adjacent-lag interference moment.  User i's row of lag vectors against
     every other code is built at once, one matrix product per lag, and each
-    r_ik is read off it; +inf for a lone code under a noise-free budget.
+    r_ik is read off it; +inf for a lone code at +inf dB.
     """
+    noise = noise_term(ebn0_db)
     codes = _codes(family)
     n = codes.shape[1]
     i = _integer("user_i", user_i, 0, len(codes) - 1)
     row = _cross_table(codes[i : i + 1], np.delete(codes, i, axis=0))[0]
     mai = float(np.sum(_adjacent_moment(row)))
-    return _inverse_sqrt(mai / (6.0 * n**3) + budget.noise_term)
+    return _inverse_sqrt(mai / (6.0 * n**3) + noise)
 
 
 def expected_weyl_snr(
-    sigma_i: int, gamma: float, n_users: int, n_chips: int, budget: LinkBudget
+    sigma_i: int, gamma: float, n_users: int, n_chips: int, ebn0_db: float
 ) -> float:
     """Closed-form expected SNR of slot sigma_i for the k_max = N Weyl family.
 
@@ -106,20 +81,22 @@ def expected_weyl_snr(
     exact when all N slots are occupied (K = N) and a good approximation
     for K/N near 1.
     """
+    noise = noise_term(ebn0_db)
     gamma = _finite("gamma", gamma) % 1.0  # reduced first: a large gamma keeps its fraction
     n = _integer("n_chips", n_chips, 1)
     si = _integer("sigma_i", sigma_i, 0, n - 1)
     k = _integer("n_users", n_users, 1, n)
     cos_term = math.cos(2.0 * math.pi * (gamma + si / n))
     r_i = (k - 1) / (18.0 * n**2) * (2.0 * (n + 1) + (n - 2) * cos_term)  # +0.0 at K = 1
-    return _inverse_sqrt(r_i + budget.noise_term)
+    return _inverse_sqrt(r_i + noise)
 
 
-def snr_lower_bound(n_users: int, n_chips: int, budget: LinkBudget) -> float:
+def snr_lower_bound(n_users: int, n_chips: int, ebn0_db: float) -> float:
     """Worst-slot SNR bound {(K-1)/(6N) + N0/2E}^(-1/2) for K distinct slots out of N."""
+    noise = noise_term(ebn0_db)
     n = _integer("n_chips", n_chips, 1)
     k = _integer("n_users", n_users, 1, n)
-    return _inverse_sqrt((k - 1) / (6.0 * n) + budget.noise_term)
+    return _inverse_sqrt((k - 1) / (6.0 * n) + noise)
 
 
 def csc2_sum(n: int) -> float:

@@ -1,10 +1,13 @@
-"""Test oracles for the trial engine in ``weylcdma.sim`` and the falsifier's bound.
+"""Test oracles for the trial engine in ``weylcdma.sim``, the lag tables and the falsifier's bound.
 
-``interference`` and ``decision_statistic`` are the scalar reference path:
-one trial, one receiver, every crosscorrelation from ``aperiodic_c`` lag
-by lag, so they share no table code (``aperiodic_table``, ``theta_pairs``)
-with the engine they check.  ``simulate_trials`` keeps every draw and
-decision of an engine run, for comparing the two trial by trial.
+``periodic_theta`` and ``odd_theta_hat`` give theta and theta_hat of one pair
+at one lag from two ``aperiodic_c`` calls; they check ``theta_pairs`` and
+``correlation_profile``.  ``interference`` and ``decision_statistic`` are
+the scalar reference path: one trial, one receiver, every crosscorrelation
+from ``aperiodic_c`` lag by lag, so they share no table code
+(``aperiodic_table``, ``theta_pairs``) with the engine they check.
+``simulate_trials`` keeps every draw and decision of an engine run, for
+comparing the two trial by trial.
 ``lower_bound`` is ``phase_opt._lower_bound`` written with a temporary per
 step, which the falsifier's in-place version must match bit for bit.
 """
@@ -19,7 +22,17 @@ import numpy as np
 from weylcdma.correlation import _chips, _pair, aperiodic_c
 from weylcdma.sequences import _integer
 from weylcdma.sim import TC, SimConfig, TrialDraw, _map_blocks, _noise_std
-from weylcdma.snr import LinkBudget
+from weylcdma.snr import noise_term
+
+
+def periodic_theta(x, y, lag: int) -> complex:
+    """theta(lag) = C(lag) + C(lag - N)."""
+    return aperiodic_c(x, y, lag) + aperiodic_c(x, y, lag - _chips(x).size)
+
+
+def odd_theta_hat(x, y, lag: int) -> complex:
+    """theta_hat(lag) = C(lag) - C(lag - N)."""
+    return aperiodic_c(x, y, lag) - aperiodic_c(x, y, lag - _chips(x).size)
 
 
 def interference(i: int, k: int, draw: TrialDraw, seqs) -> complex:
@@ -49,7 +62,7 @@ def interference(i: int, k: int, draw: TrialDraw, seqs) -> complex:
 
 
 def decision_statistic(
-    i: int, draw: TrialDraw, seqs, budget: LinkBudget, noise_sample: float
+    i: int, draw: TrialDraw, seqs, ebn0_db: float, noise_sample: float
 ) -> float:
     """Decision statistic of receiver i; noise_sample is a standard normal.
 
@@ -61,7 +74,7 @@ def decision_statistic(
     mai = sum(
         interference(i, k, draw, seqs).real for k in range(len(seqs)) if k != i
     )
-    return float(draw.bits_cur[i]) + mai / (n * TC) + noise_sample * math.sqrt(budget.noise_term)
+    return float(draw.bits_cur[i]) + mai / (n * TC) + noise_sample * math.sqrt(noise_term(ebn0_db))
 
 
 def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ from weylcdma.phase_opt import (
 from weylcdma.sequences import OptimalWeylParams, WeylParams, optimal_weyl_sequence, weyl_sequence
 from weylcdma.sim import SimConfig, collect_decision_noise, run_ber
 from weylcdma.snr import (
-    LinkBudget,
     csc2_sum,
     expected_r_sum_terms,
     expected_weyl_snr,
@@ -112,14 +111,13 @@ def test_c05_snr_bridge_empirical_and_analytic():
     n = k = 31
     gamma = 1.0 / (2 * n)
     ebn0_db = 25.0
-    budget = LinkBudget.from_db(ebn0_db, n, k)
     cfg = SimConfig(n_users=k, n_chips=n, ebn0_db=ebn0_db, trials=120_000, seed=404,
                     family="weyl", policy="random", gamma=gamma, k_max=n)
     sigma, z_err = collect_decision_noise(cfg)
     worst_rel = 0.0
     for slot in range(n):
         samples = z_err[sigma == slot]
-        target = expected_weyl_snr(slot, gamma, k, n, budget) ** -2
+        target = expected_weyl_snr(slot, gamma, k, n, ebn0_db) ** -2
         rel = abs(float(np.var(samples, ddof=1)) - target) / target
         worst_rel = max(worst_rel, rel)
     variance_ok = worst_rel < 0.05
@@ -134,8 +132,8 @@ def test_c05_snr_bridge_empirical_and_analytic():
         perm = rng.permutation(n)
         codes = [family[s] for s in perm]
         for i in range(k):
-            direct.append(pursley_snr(i, codes, budget))
-            analytic.append(expected_weyl_snr(int(perm[i]), gamma, k, n, budget))
+            direct.append(pursley_snr(i, codes, ebn0_db))
+            analytic.append(expected_weyl_snr(int(perm[i]), gamma, k, n, ebn0_db))
     mean_rel = abs(np.mean(direct) - np.mean(analytic)) / np.mean(analytic)
     snr_ok = mean_rel < 0.02
 

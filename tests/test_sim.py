@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from weylcdma import correlation, sim
-from weylcdma.correlation import cross_bound, periodic_theta
+from weylcdma.correlation import cross_bound
 from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence
 from weylcdma.sim import (
     TC,
@@ -24,9 +24,9 @@ from weylcdma.sim import (
     sweep,
     wilson_interval,
 )
-from weylcdma.snr import LinkBudget, expected_weyl_snr
+from weylcdma.snr import expected_weyl_snr, noise_term
 
-from oracle import decision_statistic, interference, simulate_trials
+from oracle import decision_statistic, interference, periodic_theta, simulate_trials
 
 
 def make_draw(tau, phi, bits_prev, bits_cur, sigma):
@@ -154,13 +154,12 @@ class TestInterference:
         # a negative index would wrap to the last user and slip past the i == k guard
         seqs = slot_family(0.0, 8, [0, 3, 5])
         draw = make_draw([0.0, 1.5, 2.5], [0.0, 0.4, 0.8], [1, 1, -1], [1, -1, 1], [0, 3, 5])
-        budget = LinkBudget.from_db(10.0, 8, 3)
         for i, k, field in ((2, -1, "k"), (0, 1.5, "k"), (3, 0, "i"), (-1, 2, "i")):
             with pytest.raises(ValueError, match=f"{field} must be an integer in \\[0, 2\\]"):
                 interference(i, k, draw, seqs)
         for i in (-1, 3, 1.0):
             with pytest.raises(ValueError, match="i must be an integer in \\[0, 2\\]"):
-                decision_statistic(i, draw, seqs, budget, 0.0)
+                decision_statistic(i, draw, seqs, 10.0, 0.0)
 
     def test_rejects_out_of_range_delay(self):
         seqs = slot_family(0.0, 8, [0, 3])
@@ -173,8 +172,7 @@ class TestInterference:
         # cannot reach the values it checks them against
         seqs = slot_family(1 / 32, 16, [1, 6, 12])
         draw = make_draw([0.0, 3.7, 11.2], [0.0, 0.4, 2.9], [1, -1, 1], [1, 1, -1], [1, 6, 12])
-        budget = LinkBudget.from_db(10.0, 16, 3)
-        expected = [decision_statistic(i, draw, seqs, budget, 0.3) for i in range(3)]
+        expected = [decision_statistic(i, draw, seqs, 10.0, 0.3) for i in range(3)]
 
         def engine_table(*args):
             raise AssertionError("engine table called")
@@ -182,7 +180,7 @@ class TestInterference:
         for module, name in ((correlation, "aperiodic_table"), (correlation, "theta_pairs"),
                              (sim, "aperiodic_table"), (sim, "theta_pairs"), (sim, "_pair_table")):
             monkeypatch.setattr(module, name, engine_table)
-        assert [decision_statistic(i, draw, seqs, budget, 0.3) for i in range(3)] == expected
+        assert [decision_statistic(i, draw, seqs, 10.0, 0.3) for i in range(3)] == expected
         with pytest.raises(AssertionError, match="engine table"):  # the engine does use them
             run_ber(SimConfig(n_users=3, n_chips=16, ebn0_db=10.0, trials=10, seed=0))
 
@@ -191,21 +189,19 @@ class TestDecisionStatistic:
     def test_single_user_no_noise(self):
         seqs = slot_family(0.1, 8, [2])
         draw = make_draw([0.0], [0.0], [1], [-1], [2])
-        budget = LinkBudget.from_db(10.0, 8, 1)
-        assert decision_statistic(0, draw, seqs, budget, 0.0) == -1.0
+        assert decision_statistic(0, draw, seqs, 10.0, 0.0) == -1.0
 
     def test_noise_scaling(self):
         seqs = slot_family(0.1, 8, [2])
         draw = make_draw([0.0], [0.0], [1], [1], [2])
-        budget = LinkBudget.from_db(6.0, 8, 1)
-        z = decision_statistic(0, draw, seqs, budget, 2.0)
-        assert z == pytest.approx(1.0 + 2.0 * math.sqrt(budget.noise_term), rel=1e-12)
+        z = decision_statistic(0, draw, seqs, 6.0, 2.0)
+        assert z == pytest.approx(1.0 + 2.0 * math.sqrt(noise_term(6.0)), rel=1e-12)
 
     def test_single_user_noise_variance(self):
         # engine draws: Var(Z - b) must equal N0/2E within 3 standard errors
         cfg = SimConfig(n_users=1, n_chips=8, ebn0_db=6.0, trials=200_000, seed=3)
         _, z_err = collect_decision_noise(cfg)
-        target = LinkBudget.from_db(6.0, 8, 1).noise_term
+        target = noise_term(6.0)
         sample_var = float(np.var(z_err, ddof=1))
         se = target * math.sqrt(2.0 / (z_err.size - 1))
         assert abs(sample_var - target) < 3.0 * se
@@ -215,12 +211,11 @@ def assert_engine_matches_scalar_path(cfg):
     """Every decision statistic of simulate_trials equals the scalar decision_statistic."""
     draws, noise, zs = simulate_trials(cfg)
     pool = build_pool(cfg)
-    budget = LinkBudget.from_db(cfg.ebn0_db, cfg.n_chips, cfg.n_users)
     for t in range(cfg.trials):
         draw = trial_row(draws, t)
         seqs = [pool[m] for m in draw.sigma]
         for i in range(cfg.n_users):
-            z = decision_statistic(i, draw, seqs, budget, float(noise[t, i]))
+            z = decision_statistic(i, draw, seqs, cfg.ebn0_db, float(noise[t, i]))
             assert z == pytest.approx(float(zs[t, i]), abs=1e-12)
 
 
@@ -258,7 +253,7 @@ class TestEngineConsistency:
         # K = 1 has no interferer: the table's self rows are zero, so Z is exactly b + std * g
         cfg = SimConfig(n_users=1, n_chips=31, ebn0_db=3.0, trials=2100, seed=17, family=family)
         draws, noise, zs = simulate_trials(cfg)
-        std = math.sqrt(LinkBudget.from_db(3.0, 31, 1).noise_term)
+        std = math.sqrt(noise_term(3.0))
         np.testing.assert_array_equal(zs, draws.bits_cur + std * noise)
 
     def test_distinct_sigma_within_each_trial(self):
@@ -573,10 +568,9 @@ class TestVarianceBridge:
         cfg = SimConfig(n_users=k, n_chips=n, ebn0_db=25.0, trials=60_000, seed=12,
                         family="weyl", policy="random", gamma=gamma, k_max=n)
         sigma, z_err = collect_decision_noise(cfg)
-        budget = LinkBudget.from_db(25.0, n, k)
         for slot in range(n):
             samples = z_err[sigma == slot]
-            target = expected_weyl_snr(slot, gamma, k, n, budget) ** -2
+            target = expected_weyl_snr(slot, gamma, k, n, 25.0) ** -2
             sample_var = float(np.var(samples, ddof=1))
             se = target * math.sqrt(2.0 / (samples.size - 1))
             assert abs(sample_var - target) < 3.5 * se

@@ -10,11 +10,11 @@ from weylcdma.correlation import r_ik
 from weylcdma.sequences import OptimalWeylParams, optimal_weyl_sequence
 from weylcdma.sim import SimConfig, build_pool
 from weylcdma.snr import (
-    LinkBudget,
     csc2_sum,
     expected_r_sum,
     expected_r_sum_terms,
     expected_weyl_snr,
+    noise_term,
     pursley_snr,
     r_ik_closed,
     snr_lower_bound,
@@ -122,9 +122,8 @@ class TestExpectedRSum:
 
     def test_total_consistent_with_interference_variance(self):
         k, n, si, gamma = 31, 31, 7, 1 / 62
-        budget = LinkBudget.from_db(25.0, n, k)
         r_total = expected_r_sum(si, gamma, k, n)
-        variance = expected_weyl_snr(si, gamma, k, n, budget) ** -2 - budget.noise_term
+        variance = expected_weyl_snr(si, gamma, k, n, 25.0) ** -2 - noise_term(25.0)
         assert r_total / (6.0 * n**3) == pytest.approx(variance, rel=1e-12)
 
 
@@ -133,25 +132,22 @@ class TestExpectedRSum:
     (r_ik_closed, (1, 2, math.inf, 31)),
     (expected_r_sum_terms, (0, math.nan, 5, 31)),
     (expected_r_sum, (0, -math.inf, 5, 31)),
-    (expected_weyl_snr, (0, math.nan, 5, 31, LinkBudget.from_db(10.0, 31, 5))),
+    (expected_weyl_snr, (0, math.nan, 5, 31, 10.0)),
 ], ids=["r-ik-nan", "r-ik-inf", "r-sum-terms-nan", "r-sum-neg-inf", "weyl-snr-nan"])
 def test_closed_forms_reject_nonfinite_gamma(func, args):
     with pytest.raises(ValueError, match="gamma must be finite"):
         func(*args)
 
 
-BUDGET = LinkBudget.from_db(10.0, 31, 5)
-
-
 @pytest.mark.parametrize("make, good, field, outside", [
-    (LinkBudget, dict(e_over_n0=10.0, n_chips=31, n_users=5), "n_chips", 1),
-    (LinkBudget, dict(e_over_n0=10.0, n_chips=31, n_users=5), "n_users", 0),
-    (lambda **kw: pursley_snr(family=slot_family(0.1, 8), budget=BUDGET, **kw),
+    *[(expected_r_sum, dict(sigma_i=3, gamma=0.1, n_users=5, n_chips=31), field, outside)
+      for field, outside in (("n_users", 1), ("n_chips", 1))],
+    (lambda **kw: pursley_snr(family=slot_family(0.1, 8), ebn0_db=10.0, **kw),
      dict(user_i=2), "user_i", 8),
-    *[(lambda **kw: expected_weyl_snr(gamma=0.1, budget=BUDGET, **kw),
+    *[(lambda **kw: expected_weyl_snr(gamma=0.1, ebn0_db=10.0, **kw),
        dict(sigma_i=3, n_users=5, n_chips=31), field, outside)
       for field, outside in (("sigma_i", 31), ("n_users", 32), ("n_chips", 0))],
-    *[(lambda **kw: snr_lower_bound(budget=BUDGET, **kw), dict(n_users=2, n_chips=31), field, outside)
+    *[(lambda **kw: snr_lower_bound(ebn0_db=10.0, **kw), dict(n_users=2, n_chips=31), field, outside)
       for field, outside in (("n_users", 0), ("n_chips", 0))],
     (csc2_sum, dict(n=4), "n", 1),
     *[(lambda **kw: r_ik_closed(gamma=0.1, **kw), dict(sigma_i=3, sigma_k=5, n_chips=31),
@@ -160,7 +156,7 @@ BUDGET = LinkBudget.from_db(10.0, 31, 5)
        field, outside) for field, outside in (("sigma_i", None), ("n_users", 1), ("n_chips", 1))],
 ])
 def test_counts_and_indices_must_be_integers(make, good, field, outside):
-    # a float is never truncated: snr_lower_bound(2.5, 31, b) must not give the K = 2 value
+    # a float is never truncated: snr_lower_bound(2.5, 31, db) must not give the K = 2 value
     for bad in (good[field] + 0.5, float(good[field]), True) + (() if outside is None else (outside,)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make(**{**good, field: bad})
@@ -170,10 +166,9 @@ def test_counts_and_indices_must_be_integers(make, good, field, outside):
 @pytest.mark.parametrize("gamma, fraction", [(2.0**40 + 0.25, 0.25), (1e308, 0.0)])
 def test_large_gamma_keeps_its_fraction(gamma, fraction):
     # gamma is reduced before sigma/N is added, so 2pi(gamma + sigma/N) stays finite and exact
-    budget = LinkBudget.from_db(10.0, 31, 5)
     for sigma in (0, 3, 30):
-        assert expected_weyl_snr(sigma, gamma, 5, 31, budget) == expected_weyl_snr(
-            sigma, fraction, 5, 31, budget)
+        assert expected_weyl_snr(sigma, gamma, 5, 31, 10.0) == expected_weyl_snr(
+            sigma, fraction, 5, 31, 10.0)
         assert r_ik_closed(sigma, 7, gamma, 31) == r_ik_closed(sigma, 7, fraction, 31)
         assert expected_r_sum_terms(sigma, gamma, 5, 31) == expected_r_sum_terms(
             sigma, fraction, 5, 31)
@@ -188,89 +183,76 @@ class TestExpectedWeylSnr:
     def test_worst_cosine_value(self):
         # gamma + sigma_i/N = 1/2 puts the cosine at -1: R = (K-1)(N+4)/(18 N^2)
         n, k = 16, 9
-        budget = LinkBudget.from_db(10.0, n, k)
-        snr = expected_weyl_snr(n // 2, 0.0, k, n, budget)
+        snr = expected_weyl_snr(n // 2, 0.0, k, n, 10.0)
         r = (k - 1) * (n + 4) / (18.0 * n * n)
-        assert snr == pytest.approx((r + budget.noise_term) ** -0.5, rel=1e-12)
+        assert snr == pytest.approx((r + noise_term(10.0)) ** -0.5, rel=1e-12)
 
     def test_best_cosine_meets_lower_bound(self):
         # cosine +1 gives R = (K-1)/(6N), exactly the lower-bound interference term
         n, k = 16, 9
-        budget = LinkBudget.from_db(10.0, n, k)
-        assert expected_weyl_snr(0, 0.0, k, n, budget) == pytest.approx(
-            snr_lower_bound(k, n, budget), rel=1e-12
+        assert expected_weyl_snr(0, 0.0, k, n, 10.0) == pytest.approx(
+            snr_lower_bound(k, n, 10.0), rel=1e-12
         )
 
     def test_single_user(self):
-        budget = LinkBudget.from_db(12.0, 31, 1)
-        expected = math.sqrt(2.0 * budget.e_over_n0)
-        assert expected_weyl_snr(5, 0.1, 1, 31, budget) == pytest.approx(expected, rel=1e-12)
+        expected = math.sqrt(2.0 * 10.0 ** 1.2)  # sqrt(2E/N0) at 12 dB
+        assert expected_weyl_snr(5, 0.1, 1, 31, 12.0) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_more_users_than_slots(self):
         for k in (0, 32, 40):
-            budget = LinkBudget.from_db(10.0, 31, max(k, 1))
             with pytest.raises(ValueError, match="n_users"):
-                expected_weyl_snr(0, 0.0, k, 31, budget)
-        budget = LinkBudget.from_db(10.0, 31, 31)
-        assert expected_weyl_snr(0, 0.0, 31, 31, budget) > 0  # K = N is the exact case
+                expected_weyl_snr(0, 0.0, k, 31, 10.0)
+        assert expected_weyl_snr(0, 0.0, 31, 31, 10.0) > 0  # K = N is the exact case
 
     def test_lower_bound_dominated_everywhere(self):
         n, k = 31, 20
-        budget = LinkBudget.from_db(25.0, n, k)
-        floor = snr_lower_bound(k, n, budget)
+        floor = snr_lower_bound(k, n, 25.0)
         for gamma in (0.0, 1 / 62, 0.3):
             for sigma in range(n):
-                assert floor <= expected_weyl_snr(sigma, gamma, k, n, budget) + 1e-12
+                assert floor <= expected_weyl_snr(sigma, gamma, k, n, 25.0) + 1e-12
 
 
 class TestSnrLowerBound:
     def test_single_user(self):
-        budget = LinkBudget.from_db(8.0, 31, 1)
-        assert snr_lower_bound(1, 31, budget) == pytest.approx(
-            math.sqrt(2.0 * budget.e_over_n0), rel=1e-12
+        assert snr_lower_bound(1, 31, 8.0) == pytest.approx(
+            math.sqrt(2.0 * 10.0 ** 0.8), rel=1e-12
         )
 
     def test_regression_pin(self):
-        budget = LinkBudget(e_over_n0=10**2.5, n_chips=31, n_users=31)
-        assert snr_lower_bound(31, 31, budget) == pytest.approx(LOWER_BOUND_PIN, rel=1e-12)
+        assert snr_lower_bound(31, 31, 25.0) == pytest.approx(LOWER_BOUND_PIN, rel=1e-12)
 
     def test_monotone_in_users(self):
-        budget = LinkBudget.from_db(20.0, 31, 2)
-        values = [snr_lower_bound(k, 31, budget) for k in range(1, 32)]
+        values = [snr_lower_bound(k, 31, 20.0) for k in range(1, 32)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_more_users_than_slots(self):
         # the (K-1)/(6N) worst-slot term assumes K distinct slots out of N
         for k in (0, 32, 40):
-            budget = LinkBudget.from_db(10.0, 31, max(k, 1))
             with pytest.raises(ValueError, match=r"n_users must be an integer in \[1, 31\]"):
-                snr_lower_bound(k, 31, budget)
+                snr_lower_bound(k, 31, 10.0)
 
 
 class TestPursleySnr:
     def test_single_user_is_noise_only(self):
-        budget = LinkBudget.from_db(9.0, 16, 1)
         family = slot_family(0.01, 16, slots=[4])
-        assert pursley_snr(0, family, budget) == pytest.approx(
-            math.sqrt(2.0 * budget.e_over_n0), rel=1e-12
+        assert pursley_snr(0, family, 9.0) == pytest.approx(
+            math.sqrt(2.0 * 10.0 ** 0.9), rel=1e-12
         )
 
     def test_never_exceeds_noise_only_snr(self):
-        budget = LinkBudget.from_db(18.0, 16, 5)
         family = slot_family(0.03, 16, slots=[0, 3, 7, 9, 14])
-        cap = math.sqrt(2.0 * budget.e_over_n0)
+        cap = math.sqrt(2.0 * 10.0 ** 1.8)
         for i in range(5):
-            assert pursley_snr(i, family, budget) <= cap + 1e-12
+            assert pursley_snr(i, family, 18.0) <= cap + 1e-12
 
     def test_full_slot_family_matches_expectation(self):
         # with all N slots in use, the slot expectation is exact
         n = 16
         gamma = 1.0 / (2 * n)
-        budget = LinkBudget.from_db(25.0, n, n)
         family = slot_family(gamma, n)
         for sigma in (0, 5, 11):
-            assert pursley_snr(sigma, family, budget) == pytest.approx(
-                expected_weyl_snr(sigma, gamma, n, n, budget), rel=1e-8
+            assert pursley_snr(sigma, family, 25.0) == pytest.approx(
+                expected_weyl_snr(sigma, gamma, n, n, 25.0), rel=1e-8
             )
 
     @pytest.mark.parametrize("family, n", [
@@ -280,44 +262,48 @@ class TestPursleySnr:
         # the lag-table row against the sum of np.correlate-based r_ik, every user
         codes = build_pool(SimConfig(n_users=2, n_chips=n, ebn0_db=25.0, trials=1, seed=0,
                                      family=family, gamma=0.3 / n))
-        budget = LinkBudget.from_db(25.0, n, len(codes))
         for i in range(len(codes)):
             mai = sum(r_ik(codes[i], c) for k, c in enumerate(codes) if k != i)
-            oracle = (mai / (6.0 * n**3) + budget.noise_term) ** -0.5
-            assert pursley_snr(i, codes, budget) == pytest.approx(oracle, rel=1e-12, abs=0)
+            oracle = (mai / (6.0 * n**3) + noise_term(25.0)) ** -0.5
+            assert pursley_snr(i, codes, 25.0) == pytest.approx(oracle, rel=1e-12, abs=0)
 
     def test_rejects_mixed_lengths(self):
-        budget = LinkBudget.from_db(10.0, 8, 2)
         family = [np.ones(8, dtype=complex), np.ones(9, dtype=complex)]
         with pytest.raises(ValueError, match="all codes in the family must have equal length"):
-            pursley_snr(0, family, budget)
+            pursley_snr(0, family, 10.0)
 
     def test_rejects_empty_family(self):
         for empty in ([], np.empty((0, 8), dtype=complex)):
             with pytest.raises(ValueError, match="family must contain at least one code"):
-                pursley_snr(0, empty, LinkBudget.from_db(10.0, 8, 2))
+                pursley_snr(0, empty, 10.0)
+
+    def test_rejects_a_code_without_chips_or_with_a_nonfinite_chip(self):
+        # no ZeroDivisionError for N = 0 and no silent NaN, on either path of the family
+        for family, message in ((np.zeros((2, 0), dtype=complex), "at least one chip"),
+                                ([[1, math.nan], [1, 1]], "every chip must be finite"),
+                                (np.array([[1, 1], [1j, math.inf]]), "every chip must be finite")):
+            with pytest.raises(ValueError, match=message):
+                pursley_snr(0, family, 10.0)
 
     def test_stacked_family_gives_the_same_floats(self):
-        budget = LinkBudget.from_db(18.0, 16, 5)
         family = slot_family(0.03, 16, slots=[0, 3, 7, 9, 14])
         stacked = np.vstack([s.chips for s in family])
         for i in range(5):
-            assert pursley_snr(i, stacked, budget) == pursley_snr(i, family, budget)
+            assert pursley_snr(i, stacked, 18.0) == pursley_snr(i, family, 18.0)
 
     def test_partial_occupancy_agreement_reported_not_asserted(self):
         # The slot expectation is exact only when every slot is in use;
         # at K < N the observed agreement is informational.
         n, k = 31, 24
         gamma = 1.0 / (2 * n)
-        budget = LinkBudget.from_db(25.0, n, k)
         rng = np.random.default_rng(42)
         deviations = []
         for _ in range(3):
             slots = rng.choice(n, size=k, replace=False)
             family = slot_family(gamma, n, slots=[int(s) for s in slots])
             for i in range(0, k, 6):
-                direct = pursley_snr(i, family, budget)
-                analytic = expected_weyl_snr(int(slots[i]), gamma, k, n, budget)
+                direct = pursley_snr(i, family, 25.0)
+                analytic = expected_weyl_snr(int(slots[i]), gamma, k, n, 25.0)
                 deviations.append(abs(direct - analytic) / analytic)
         mean_dev = float(np.mean(deviations))
         print(f"K<N slot-expectation agreement: mean rel deviation {mean_dev:.3%} "
@@ -326,34 +312,34 @@ class TestPursleySnr:
 
 
 def test_no_interference_and_no_noise_is_infinite():
-    # a lone user under a noise-free budget: the SNR is +inf, not a ZeroDivisionError
-    budget = LinkBudget.from_db(math.inf, 31, 1)
-    assert pursley_snr(0, slot_family(0.1, 31, slots=[4]), budget) == math.inf
-    assert expected_weyl_snr(4, 0.1, 1, 31, budget) == math.inf
-    assert snr_lower_bound(1, 31, budget) == math.inf
+    # a lone user at +inf dB: the SNR is +inf, not a ZeroDivisionError
+    assert pursley_snr(0, slot_family(0.1, 31, slots=[4]), math.inf) == math.inf
+    assert expected_weyl_snr(4, 0.1, 1, 31, math.inf) == math.inf
+    assert snr_lower_bound(1, 31, math.inf) == math.inf
     # either term alone keeps the SNR finite
-    assert math.isfinite(pursley_snr(0, slot_family(0.1, 31, slots=[4, 9]), budget))
-    assert math.isfinite(snr_lower_bound(1, 31, LinkBudget.from_db(200.0, 31, 1)))
+    assert math.isfinite(pursley_snr(0, slot_family(0.1, 31, slots=[4, 9]), math.inf))
+    assert math.isfinite(snr_lower_bound(1, 31, 200.0))
 
 
 class TestLinkBudget:
+    """The link enters the SNR only as N0/2E, which ``noise_term`` makes from E/N0 in dB."""
+
     def test_db_conversion(self):
-        budget = LinkBudget.from_db(25.0, 31, 7)
-        assert budget.e_over_n0 == pytest.approx(10.0**2.5, rel=1e-12)
-        assert budget.noise_term == pytest.approx(0.5 * 10.0**-2.5, rel=1e-12)
+        assert noise_term(25.0) == pytest.approx(0.5 * 10.0**-2.5, rel=1e-12)
+        assert noise_term(25.0) == 0.5 / 10.0 ** 2.5  # the one conversion, bit for bit
 
     def test_validation(self):
-        for bad in ("10", None):  # a string is never parsed
-            with pytest.raises(ValueError, match="ebn0_db must be finite"):
-                LinkBudget.from_db(bad, 31, 1)
-        assert LinkBudget.from_db(np.inf, 31, 1).noise_term == 0.0
-        assert LinkBudget.from_db(np.int64(10), 31, 1) == LinkBudget.from_db(10.0, 31, 1)
-        with pytest.raises(ValueError):
-            LinkBudget(e_over_n0=0.0, n_chips=31, n_users=1)
-        # 1e-320 and 5e-324 are positive, but their noise term 0.5 / e_over_n0 overflows
-        for bad in (True, "10", None, math.nan, -math.inf, -1.0, 1e-320, np.float64(1e-320), 5e-324):
-            with pytest.raises(ValueError, match="e_over_n0"):
-                LinkBudget(e_over_n0=bad, n_chips=31, n_users=1)
-        assert LinkBudget(e_over_n0=math.inf, n_chips=31, n_users=1).noise_term == 0.0
-        with pytest.raises(ValueError):
-            LinkBudget(e_over_n0=1.0, n_chips=1, n_users=1)
+        for bad in ("10", None, True, math.nan, -math.inf, 3090.0, -3090.0):  # a string is never parsed
+            with pytest.raises(ValueError, match="ebn0_db"):
+                noise_term(bad)
+        assert noise_term(np.inf) == 0.0
+        assert noise_term(np.int64(10)) == noise_term(10.0)
+        assert noise_term(3000.0) > 0.0 and math.isfinite(noise_term(-3000.0))
+
+    def test_snr_functions_check_ebn0_db_first(self):
+        # a bad E/N0 is named even when another argument is bad too
+        for call in (lambda db: pursley_snr(5, [], db), lambda db: expected_weyl_snr(0, math.nan, 40, 31, db),
+                     lambda db: snr_lower_bound(40, 31, db)):
+            for bad in ("10", True, math.nan):
+                with pytest.raises(ValueError, match="ebn0_db"):
+                    call(bad)
