@@ -43,7 +43,10 @@ in one contraction (per slot when every slot is occupied, into one
 reduces the whole block at once; one that reads several takes prefix
 sums over interferers and reduces tile by tile, so its statistics agree
 with the one-width ones to float rounding and no (t, K, K) array
-outlives a tile.
+outlives a tile.  A block works each draw in its user-major (k, t)
+layout and hands the gather and reduce C-contiguous trial-major arrays,
+so no ufunc mixes the two orders.  ``_count_errors`` tests Z * b < 0
+exactly as sd * g * b < -(1 + b * mai), one comparison per noise level.
 
 One rule combines results: a pool's reduce results are added with ``+``,
 in order, tile by tile inside the block's task and then block by block
@@ -53,6 +56,7 @@ a list to be concatenated, and a pass keeps one result per pool.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import os
@@ -289,24 +293,29 @@ def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -
     draws, unit-variance noise and MAI / (N*Tc).
 
     The block draws once, at config.n_users, and slot keys at the largest
-    pool size if the pass's one policy is random; a pool (config, size,
-    fixed sigma or None, widths, table or None) reads the first c = widths[-1]
-    columns.  mai is a (t, W, c) array whose row j is the
-    MAI at the sorted user count widths[j] (its first widths[j] columns).  A
-    pool with no table builds its own (``_pair_table``) here and drops it on
-    return, before the next pool's.  Tiles of a power-of-two trial count, so
-    that they divide the block, gather at most ``_TILE_PAIRS`` rows each (all
-    of a block for c <= 5).  One width, every slot occupied (size = c): per
+    pool size if the pass's one policy is random, each user-major (k, t).
+    The weights are made in that layout and written by out= ufuncs through
+    a transposed view into one trial-major (t, k, 4) array; lag, noise and
+    bits_cur are copied trial-major once, and the draw's tau, phi and
+    bits_prev stay (t, k) views.  A pool (config, size, fixed sigma or
+    None, widths, table or None) reads the first c = widths[-1] columns.
+    mai is a (t, W, c) array whose row j is the MAI at the sorted user
+    count widths[j] (its first widths[j] columns).  A pool with no table
+    builds its own (``_pair_table``) here and drops it on return, before
+    the next pool's.  Tiles of a power-of-two trial count, so that they
+    divide the block, gather at most ``_TILE_PAIRS`` rows each (all of a
+    block for c <= 5).  One width, every slot occupied (size = c): per
     tile, a gather of one slot-major (4, F) row per interferer, contracted
-    with its weights (made contiguous once per pool and block) by one batched
-    matmul into the tile's rows of a (t, 1, F) array of the MAI at every
-    slot, from which one take_along_axis per block reads each user's own.
-    One width, free slots: a receiver-major (tile, i, k, 4) gather, summed
-    over k and the 4 weights by one einsum.  Either reduces the whole block
-    once.  Several widths: per tile, an interferer-major (tile, k, i, 4)
-    gather, reduced over the weights by matmul into a (tile, k, i) array
-    whose prefix sums over k hold widths[j] in row widths[j] - 1, and one
-    reduce on the tile's rows, whose results the ``+`` rule adds up.
+    with its weights (copied contiguous once per pool and block if c < K)
+    by one batched matmul into the tile's rows of a (t, 1, F) array of the
+    MAI at every slot, from which one take_along_axis per block reads each
+    user's own.  One width, free slots: a receiver-major (tile, i, k, 4)
+    gather, summed over k and the 4 weights by one einsum.  Either reduces
+    the whole block once.  Several widths: per tile, an interferer-major
+    (tile, k, i, 4) gather, reduced over the weights by matmul into a
+    (tile, k, i) array whose prefix sums over k hold widths[j] in row
+    widths[j] - 1, and one reduce on the tile's rows, whose results the
+    ``+`` rule adds up.
     """
     k, n = config.n_users, config.n_chips
     t = min(_BLOCK, config.trials - block * _BLOCK)
@@ -314,18 +323,24 @@ def _simulate_block(config: SimConfig, pools: list[tuple], reduce, block: int) -
         np.random.default_rng, np.random.SeedSequence(config.seed, spawn_key=(1, block)).spawn(6))
     if config.policy == AssignmentPolicy.RANDOM:  # a smaller pool reads the first rows
         keys = keys.random((max(size for _, size, _, _, _ in pools), t))
-    tau = tau.random((k, t)).T * (n * TC)
-    phi = phi.random((k, t)).T * (2.0 * np.pi)
-    bits_prev = prev.integers(0, 2, size=(k, t)).T * 2.0 - 1.0
-    bits_cur = cur.integers(0, 2, size=(k, t)).T * 2.0 - 1.0
-    noise = noise.standard_normal((k, t)).T
+    tau = tau.random((k, t)) * (n * TC)  # user-major (k, t), like every draw
+    phi = phi.random((k, t)) * (2.0 * np.pi)
+    prev = prev.integers(0, 2, size=(k, t)) * 2.0 - 1.0
+    cur = cur.integers(0, 2, size=(k, t)) * 2.0 - 1.0
+    noise = np.ascontiguousarray(noise.standard_normal((k, t)).T)
     l = np.floor(tau / TC).astype(np.int64)
     w = tau - l * TC
-    lag = (bits_prev != bits_cur) * n + l  # row within a slot pair's 2N rows
+    lag = np.ascontiguousarray(((prev != cur) * n + l).T)  # row within a slot pair's 2N rows
     # b_prev * Re[e^{j phi} (w Theta(l) + (Tc - w) Theta(l+1))] / (N Tc) as weights on pair
-    cos, sin = (bits_prev * f(phi) / (n * TC) for f in (np.cos, np.sin))
-    weights = np.stack([w * cos, -w * sin, (TC - w) * cos, -(TC - w) * sin], axis=-1)
-    del l, w, cos, sin
+    # rows, written through a (4, k, t) view; b_prev and the minus sign change factor exactly
+    cos, sin = np.cos(phi) / (n * TC), np.sin(phi) / (-n * TC)
+    weights = np.empty((t, k, 4))
+    for plane, span in ((0, w), (2, TC - w)):
+        span *= prev
+        np.multiply(span, cos, out=weights.T[plane])
+        np.multiply(span, sin, out=weights.T[plane + 1])
+    tau, phi, bits_prev, bits_cur = tau.T, phi.T, prev.T, np.ascontiguousarray(cur.T)
+    del l, w, cos, sin, span, cur
 
     def reduce_pool(pool_config, size, widths, table, sigma):
         c = widths[-1]
@@ -429,7 +444,16 @@ def _map_blocks(config: SimConfig, reduce, pools: list[tuple[int, ...]] | None =
     if workers == 1:
         return add_up(map(run, blocks))
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        return add_up(executor.map(run, blocks))
+        window = collections.deque()  # at most 2 * workers blocks in flight
+
+        def in_order():
+            for block in blocks:
+                window.append(executor.submit(run, block))
+                if len(window) > 2 * workers:
+                    yield window.popleft().result()
+            yield from (future.result() for future in window)
+
+        return add_up(in_order())
 
 
 def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -442,6 +466,23 @@ def collect_decision_noise(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     sigma, z_err = zip(*_map_blocks(
         config, lambda d, g, mai: [(d.sigma, (d.bits_cur + mai[:, 0] + std * g) - d.bits_cur)])[0])
     return np.concatenate(sigma), np.concatenate(z_err)
+
+
+def _count_errors(levels: list[float], bits: np.ndarray, g: np.ndarray, mai: np.ndarray) -> np.ndarray:
+    """Errors, Z * b < 0 with Z = b + mai + sd * g, as (level, width, user) counts.
+
+    bits and g are (t, c), mai (t, W, c).  As b = +-1 and rounding is
+    symmetric, Z * b = (1 + b * mai) + sd * (b * g) bit for bit, and a
+    float sum is negative exactly when its terms' exact sum is: an error
+    is sd * v < neg_r, v = g * b, neg_r = -(1 + b * mai), one multiply and
+    one comparison per level, summed over the trials by one integer einsum
+    (fixed-size temporaries, no BLAS call).
+    """
+    neg_r = bits[:, None, :] * mai
+    np.subtract(-1.0, neg_r, out=neg_r)
+    v, t = (g * bits)[:, None, :], len(neg_r)
+    return np.stack([np.einsum("tx->x", (sd * v < neg_r).reshape(t, -1), dtype=np.int64)
+                     for sd in levels]).reshape(len(levels), *neg_r.shape[1:])
 
 
 def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
@@ -462,20 +503,11 @@ def _ber_points(configs: list[SimConfig]) -> list[BERResult]:
     groups, levels = list(by_pool.values()), list(dict.fromkeys(stds))
     pools = [tuple(sorted({ks[i] for i in group})) for group in groups]
 
-    def count(draw, g, mai):
-        # errors (Z * b < 0) per (noise level, width, user), Z = b + mai + sd * g
-        b, g = draw.bits_cur[:, None, :], g[:, None, :]
-        per_level = []
-        for sd in levels:
-            z = b + mai
-            z += sd * g
-            z *= b
-            per_level.append(np.count_nonzero(z < 0.0, axis=0))
-        return np.stack(per_level)
-
     errors = {}
     widest = dataclasses.replace(configs[0], n_users=max(ks))
-    for group, widths, counts in zip(groups, pools, _map_blocks(widest, count, pools)):
+    counts_by_pool = _map_blocks(
+        widest, lambda draw, g, mai: _count_errors(levels, draw.bits_cur, g, mai), pools)
+    for group, widths, counts in zip(groups, pools, counts_by_pool):
         for i in group:
             errors[i] = counts[levels.index(stds[i]), widths.index(ks[i]), :ks[i]]
     results = []

@@ -7,7 +7,8 @@ the scalar reference path: one trial, one receiver, every crosscorrelation
 from ``aperiodic_c`` lag by lag, so they share no table code
 (``aperiodic_table``, ``theta_pairs``) with the engine they check.
 ``simulate_trials`` keeps every draw and decision of an engine run, for
-comparing the two trial by trial.
+comparing the two trial by trial.  ``count_errors`` counts decision errors
+as Z * b < 0 from Z itself, which ``sim._count_errors`` must match cell for cell.
 ``lower_bound`` is ``phase_opt._lower_bound`` written with a temporary per
 step, which the falsifier's in-place version must match bit for bit.
 """
@@ -92,6 +93,12 @@ def simulate_trials(config: SimConfig) -> tuple[TrialDraw, np.ndarray, np.ndarra
         for f in dataclasses.fields(TrialDraw)
     })
     return draw, np.concatenate(noise), np.concatenate(z)
+
+
+def count_errors(levels, bits: np.ndarray, g: np.ndarray, mai: np.ndarray) -> np.ndarray:
+    """(level, width, user) counts of ((b + mai) + sd * g) * b < 0; bits and g (t, c), mai (t, W, c)."""
+    b, g = bits[:, None, :], g[:, None, :]
+    return np.stack([np.count_nonzero(((b + mai) + sd * g) * b < 0.0, axis=0) for sd in levels])
 
 
 def lower_bound(rho: np.ndarray) -> np.ndarray:

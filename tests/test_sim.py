@@ -3,6 +3,7 @@ vectorized engine, determinism, interference bounds, variance bridges,
 and sweep behavior."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import tracemalloc
@@ -26,7 +27,7 @@ from weylcdma.sim import (
 )
 from weylcdma.snr import expected_weyl_snr, noise_term
 
-from oracle import decision_statistic, interference, periodic_theta, simulate_trials
+from oracle import count_errors, decision_statistic, interference, periodic_theta, simulate_trials
 
 
 def make_draw(tau, phi, bits_prev, bits_cur, sigma):
@@ -485,6 +486,58 @@ class TestBlockLayout:
         [total] = totals
         np.testing.assert_array_equal(total, np.full(2**17, 64.0))
 
+    @pytest.mark.parametrize("cfg, digest", [
+        (SimConfig(n_users=7, n_chips=31, ebn0_db=6.0, trials=2000, seed=17, gamma=1 / 62,
+                   k_max=31),
+         "411288583719c25e488ef16407d02ac8f7eb69744f8107b40f600b4e9c929660"),
+        (SimConfig(n_users=7, n_chips=31, ebn0_db=6.0, trials=2000, seed=17, family="optimal",
+                   gamma=1 / 62),
+         "0cf3051e2060ba6fabc68b6c0922dbee9d2b2e63255639bbbeecce30336201ad"),
+        (SimConfig(n_users=5, n_chips=31, ebn0_db=6.0, trials=2000, seed=17, family="gold",
+                   policy="fixed"),
+         "461d92de282ce0510c9782050e299dabe212a6474656b7d19dd4f32b1613db07"),
+    ], ids=["weyl-random", "optimal", "gold-fixed"])
+    def test_decision_statistics_pinned(self, engine_layout, cfg, digest):
+        # sha256 of the (sigma, z_err) bytes over two blocks, the last one partial: a
+        # last-bit change to the MAI or the noise moves it, where CSV bytes may not move
+        sigma, z_err = collect_decision_noise(cfg)
+        assert sigma.shape == z_err.shape == (2000, cfg.n_users)
+        assert sigma.dtype == np.int64 and z_err.dtype == np.float64
+        data = np.ascontiguousarray(sigma).tobytes() + np.ascontiguousarray(z_err).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_threaded_pass_keeps_a_bounded_window_of_blocks(self, monkeypatch):
+        # a threaded pass keeps a few blocks in flight, not one future per block
+        monkeypatch.setenv("WEYLCDMA_THREADS", "2")
+        monkeypatch.setattr(sim, "_simulate_block", lambda *args: [np.ones(2)])
+        peaks = []
+        for blocks in (1_000, 20_000):
+            tracemalloc.start()
+            try:
+                [total] = sim._map_blocks(dataclasses.replace(PREFIX_BASE, trials=blocks * sim._BLOCK),
+                                          None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(total, [blocks, blocks])
+        assert peaks[1] <= peaks[0] + 2**20
+
+    def test_block_memory_does_not_grow_with_ebn0_values(self, monkeypatch):
+        # 60 noise levels against 6 may add only (level, width, user) counts, not a
+        # (level, trial, user) array: 60 x 1024 x 31 booleans alone are 1.9 MB
+        monkeypatch.setenv("WEYLCDMA_THREADS", "1")
+        cfg = SimConfig(n_users=31, n_chips=31, ebn0_db=0.0, trials=2048, seed=9, gamma=1 / 62,
+                        k_max=31)
+        peaks = []
+        for levels in (6, 60):
+            tracemalloc.start()
+            try:
+                sweep(cfg, "ebn0", np.linspace(0.0, 25.0, levels).tolist())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 2**10
+
     def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
         monkeypatch.setenv("WEYLCDMA_THREADS", "1")
         peaks = []
@@ -556,6 +609,46 @@ class TestBlockLayout:
             np.testing.assert_allclose(tiled_mai, mai, rtol=0.0, atol=1e-13)
             assert tiled_prefix.shape == prefix.shape == (cfg.trials, len(users), 16)
             np.testing.assert_allclose(tiled_prefix, prefix, rtol=0.0, atol=1e-13)
+
+
+class TestErrorCount:
+    """``sim._count_errors`` (sd * v < neg_r) against the oracle's ((b + mai) + sd * g) * b < 0."""
+
+    @pytest.mark.parametrize("n_levels", [1, 6])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_oracle_on_random_blocks(self, n_levels, width):
+        rng = np.random.default_rng(100 * n_levels + width)
+        t, c = 1000, 7
+        bits = rng.integers(0, 2, size=(t, c)) * 2.0 - 1.0
+        g, mai = rng.standard_normal((t, c)), 0.4 * rng.standard_normal((t, width, c))
+        levels = [math.sqrt(noise_term(db)) for db in rng.uniform(-5.0, 15.0, n_levels)]
+        counts = sim._count_errors(levels, bits, g, mai)
+        assert counts.shape == (n_levels, width, c) and counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, count_errors(levels, bits, g, mai))
+        assert 0 < counts.sum() < n_levels * width * t * c
+
+    def test_matches_oracle_on_adversarial_cells(self):
+        # mai = -b exactly (Z = sd * g), 1 + b * mai one ulp either side of 0, sd = 0
+        # (+inf dB) and sd at +-3000 dB, against noise at 0, -0, the smallest subnormal,
+        # one ulp of 1 and beyond; compared trial by trial, so no two cells can cancel
+        below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        mai_scale = [1.0, below, above, 0.5, 0.0, 2.0]
+        noise = [0.0, -0.0, 5e-324, 2.0**-53, 2.0**-52, 1.0, 1e-150, 1.5e150]
+        noise += [-x for x in noise[2:]]
+        levels = [math.sqrt(noise_term(db)) for db in (math.inf, 3000.0, -3000.0, 0.0)] + [1.0]
+        assert levels[0] == 0.0 and levels[1] < 1e-149 and levels[2] > 1e149
+        scale, g = (np.array(v) for v in zip(*[(m, x) for m in mai_scale for x in noise]))
+        bits = np.tile([1.0, -1.0], (len(g), 1))
+        mai = -bits[:, None, :] * np.stack([scale, scale[::-1], np.roll(scale, 5)], axis=1)[:, :, None]
+        g = np.stack([g, g[::-1]], axis=1)
+        for row in range(len(g)):
+            one = slice(row, row + 1)
+            np.testing.assert_array_equal(
+                sim._count_errors(levels, bits[one], g[one], mai[one]),
+                count_errors(levels, bits[one], g[one], mai[one]), err_msg=str(row))
+        counts = count_errors(levels, bits, g, mai)
+        np.testing.assert_array_equal(sim._count_errors(levels, bits, g, mai), counts)
+        assert 0 < counts.sum() < counts.size * len(g)
 
 
 class TestVarianceBridge:
